@@ -2,7 +2,8 @@
 
 Every run writes a JSON manifest next to its outputs recording the resolved
 parameters, input/output checksums and wall-clock duration, so any output
-can be reproduced bit-identically from its manifest.
+can be reproduced bit-identically from its manifest under the same
+SLISEMAP_THREADS and numpy/BLAS build.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 """

@@ -104,32 +104,48 @@ def loss_threshold(global_losses, q: float = 0.3) -> float:
     return float(np.quantile(losses, q))
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise SlisemapError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+
+
 def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbours of every row of ``Z``.
 
     Self is excluded; ties break toward the smaller index (stable sort).
+    The first j columns of the result are the j nearest neighbours.
     """
     Z = np.asarray(Z, dtype=float)
-    n = Z.shape[0]
-    if not 1 <= k < n:
-        raise SlisemapError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    _check_k(k, Z.shape[0])
     D = pairwise_distances(Z)
     np.fill_diagonal(D, np.inf)
     order = np.argsort(D, axis=1, kind="stable")
     return order[:, :k]
 
 
-def cluster_purity(Z: np.ndarray, labels, k: int) -> float:
-    """Average fraction of each item's embedding neighbours sharing its
-    ground-truth label."""
+def _neighbour_mean(A: np.ndarray, nn: np.ndarray) -> float:
+    """Mean of each row of ``A`` over that row's neighbours ``nn``."""
+    return float(np.take_along_axis(A, nn, axis=1).mean())
+
+
+def _checked_labels(labels, Z: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    Z = np.asarray(Z, dtype=float)
     if labels.shape[0] != Z.shape[0]:
         raise ShapeError("labels length does not match the embedding",
                          expected=Z.shape[0], got=labels.shape[0])
-    nn = knn_indices(Z, k)
-    same = labels[nn] == labels[:, None]
-    return float(same.mean())
+    return labels
+
+
+def _purity(labels: np.ndarray, nn: np.ndarray) -> float:
+    return float((labels[nn] == labels[:, None]).mean())
+
+
+def cluster_purity(Z: np.ndarray, labels, k: int) -> float:
+    """Average fraction of each item's embedding neighbours sharing its
+    ground-truth label."""
+    Z = np.asarray(Z, dtype=float)
+    labels = _checked_labels(labels, Z)
+    return _purity(labels, knn_indices(Z, k))
 
 
 def fidelity(sol: Solution, k: Optional[int] = None) -> float:
@@ -138,41 +154,53 @@ def fidelity(sol: Solution, k: Optional[int] = None) -> float:
     L = local_loss_matrix(sol.B, sol.X, sol.Y, sol.task)
     if k is None:
         return float(np.diag(L).mean())
-    nn = knn_indices(sol.Z, k)
-    return float(np.take_along_axis(L, nn, axis=1).mean())
+    return _neighbour_mean(L, knn_indices(sol.Z, k))
+
+
+def _check_threshold(l0: float) -> None:
+    if np.isnan(l0):
+        raise SlisemapError("threshold must not be NaN")
 
 
 def coverage(sol: Solution, l0: float, k: Optional[int] = None) -> float:
     """Fraction of (model, item) pairs with loss strictly below ``l0``,
     over all pairs (``k=None``) or each model's k embedding neighbours.
     Higher is better."""
-    if np.isnan(l0):
-        raise SlisemapError("threshold must not be NaN")
-    L = local_loss_matrix(sol.B, sol.X, sol.Y, sol.task)
-    hit = L < l0
+    _check_threshold(l0)
+    hit = local_loss_matrix(sol.B, sol.X, sol.Y, sol.task) < l0
     if k is None:
         return float(hit.mean())
-    nn = knn_indices(sol.Z, k)
-    return float(np.take_along_axis(hit, nn, axis=1).mean())
+    return _neighbour_mean(hit, knn_indices(sol.Z, k))
 
 
 def compute_report(sol: Solution, ks, labels=None, quantile: float = 0.3,
                    config: SolverConfig = SolverConfig()) -> MetricReport:
     """Full metric sweep: global reference model, loss threshold, and
-    fidelity/coverage (and purity when labels are given) at every k."""
+    fidelity/coverage (and purity when labels are given) at every k.
+
+    The loss matrix and the neighbour order are built once: the k nearest
+    neighbours are the first k of the ``max(ks)`` nearest.
+    """
     ks = sorted(set(int(k) for k in ks))
+    for k in ks:
+        _check_k(k, sol.n)
     b_global = fit_global_model(sol.X, sol.Y, sol.task,
                                 lambda_lasso=sol.hyperparams.lambda_lasso,
                                 config=config)
     l0 = loss_threshold(pointwise_losses(b_global, sol.X, sol.Y, sol.task),
                         quantile)
+    _check_threshold(l0)
+    L = local_loss_matrix(sol.B, sol.X, sol.Y, sol.task)
+    hit = L < l0
+    order = knn_indices(sol.Z, ks[-1]) if ks else None
     report = MetricReport(
-        fidelity_point=fidelity(sol),
-        fidelity_knn={k: fidelity(sol, k) for k in ks},
-        coverage_full=coverage(sol, l0),
-        coverage_knn={k: coverage(sol, l0, k) for k in ks},
+        fidelity_point=float(np.diag(L).mean()),
+        fidelity_knn={k: _neighbour_mean(L, order[:, :k]) for k in ks},
+        coverage_full=float(hit.mean()),
+        coverage_knn={k: _neighbour_mean(hit, order[:, :k]) for k in ks},
         threshold_l0=l0,
     )
     if labels is not None:
-        report.purity_knn = {k: cluster_purity(sol.Z, labels, k) for k in ks}
+        labels = _checked_labels(labels, sol.Z)
+        report.purity_knn = {k: _purity(labels, order[:, :k]) for k in ks}
     return report

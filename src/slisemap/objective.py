@@ -13,6 +13,17 @@ Gradients with respect to B and Z are analytic.  The lasso term uses the
 subgradient sign(x) with sign(0) = 0.  The distance derivative uses
 sqrt(D^2 + eps) so coincident embedding points do not produce infinities;
 forward values are exact.
+
+One kernel computes the loss and gradients of k optimized rows (B, Z)
+against N = n_old + k rows in all, the first n_old of which are frozen
+embedding rows: none for the full problem (k = N = n), the fitted solution
+when new points are appended.  It works in place on the buffers of a
+``Workspace``: five k x N float64 arrays (distances, weights, losses,
+residuals or Hellinger sums, and a scratch array), plus 2p class-major
+k x N planes (probabilities and Hellinger terms) for p-class
+classification.  A solve lends one Workspace to all of its evaluations,
+so after the first one they allocate nothing of size k x N; at n = 1000 a
+regression solve holds 40 MB of buffers and a 3-class one 88 MB.
 """
 
 from __future__ import annotations
@@ -56,18 +67,59 @@ class LossState:
     total: float
 
 
+class Workspace:
+    """Buffers that successive loss evaluations of one solve reuse.
+
+    A buffer is allocated on first use and again only when a later call
+    asks for a different shape.  Values returned to the caller are never
+    views of these buffers, so a later call cannot change them.  Not safe
+    to share between threads.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """An uninitialized float64 array of ``shape`` kept under ``name``."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+
+def _self_pairs(A: np.ndarray, n_old: int) -> np.ndarray:
+    """View of the entries (i, n_old + i) of a C-contiguous k x N array:
+    each optimized row paired with itself."""
+    return A.reshape(-1)[n_old::A.shape[1] + 1]
+
+
+def _distances_into(D, Z, Z_all, n_old, scratch) -> None:
+    """Distances from the rows of ``Z`` (rows n_old.. of ``Z_all``) to every
+    row of ``Z_all``, written to ``D``; self-distances are exactly zero.
+
+    For the full problem ``Z_all`` is ``Z`` itself (C-contiguous), so the
+    Gram product is exactly symmetric and so is ``D``.
+    """
+    sq = np.einsum("ij,ij->i", Z, Z)
+    sq_all = np.einsum("ij,ij->i", Z_all, Z_all) if n_old else sq
+    np.matmul(Z, Z_all.T, out=D)
+    D *= 2.0
+    np.add(sq[:, None], sq_all[None, :], out=scratch)
+    np.subtract(scratch, D, out=D)
+    np.maximum(D, 0.0, out=D)
+    np.sqrt(D, out=D)
+    _self_pairs(D, n_old)[...] = 0.0
+
+
 def pairwise_distances(Z: np.ndarray) -> np.ndarray:
     """Euclidean distances between all pairs of rows of ``Z``.
 
     Symmetric with an exactly zero diagonal.
     """
-    Z = np.asarray(Z, dtype=float)
-    sq = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
-    np.maximum(d2, 0.0, out=d2)
-    D = np.sqrt(d2)
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
+    Z = np.ascontiguousarray(Z, dtype=float)
+    n = Z.shape[0]
+    D = np.empty((n, n))
+    _distances_into(D, Z, Z, 0, np.empty((n, n)))
     return D
 
 
@@ -95,27 +147,43 @@ def _check_shapes(B, X, Y, task: TaskKind):
                          expected=(n_pts, p), got=Y.shape)
 
 
-def _regression_losses(B, X, y):
-    # rows: models, cols: data items; overflow surfaces later as a
-    # NumericError on the non-finite total, not as a runtime warning
+def _local_losses(B, X, Y, task: TaskKind, work: Workspace):
+    """Loss of each row of ``B`` on each item, in ``work``'s k x N buffer
+    "L", and what the B gradient needs: the residuals (regression) or the
+    class-major probability and Hellinger planes and their class sums.
+
+    Overflow surfaces later as a NumericError on the non-finite total, not
+    as a runtime warning.
+    """
+    k, N = B.shape[0], X.shape[0]
+    L = work.buffer("L", (k, N))
     with np.errstate(over="ignore", invalid="ignore"):
-        R = B @ X.T - y[None, :]
-        return R * R, R
-
-
-def _classification_losses(B, X, Y, p):
-    n_mod = B.shape[0]
-    n_pts, n_cols = X.shape
-    B3 = B.reshape(n_mod, p - 1, n_cols)
-    logits = np.empty((n_mod, n_pts, p))
-    logits[:, :, : p - 1] = np.tensordot(B3, X, axes=([2], [1])).transpose(0, 2, 1)
-    logits[:, :, p - 1] = 0.0  # reference class
-    logits -= logits.max(axis=2, keepdims=True)
-    Q = np.exp(logits)
-    Q /= Q.sum(axis=2, keepdims=True)
-    H = np.sqrt(Q * Y[None, :, :])
-    Hsum = H.sum(axis=2)
-    return 1.0 - Hsum, (Q, H, Hsum)
+        if not task.is_classification:
+            R = work.buffer("R", (k, N))
+            np.matmul(B, X.T, out=R)
+            R -= Y[:, 0]
+            np.multiply(R, R, out=L)
+            return L, R
+        p = task.n_classes
+        Q = work.buffer("Q", (p, k, N))
+        H = work.buffer("H", (p, k, N))
+        Hsum = work.buffer("R", (k, N))
+        # The free logits come from one product in the (k, p-1, N) order
+        # of the coefficient rows, staged in H, then moved to their planes.
+        free = H[:p - 1].reshape(k * (p - 1), N)
+        np.matmul(B.reshape(k * (p - 1), -1), X.T, out=free)
+        Q[:p - 1] = free.reshape(k, p - 1, N).transpose(1, 0, 2)
+        Q[p - 1] = 0.0  # reference class
+        np.max(Q, axis=0, out=L)
+        Q -= L
+        np.exp(Q, out=Q)
+        np.sum(Q, axis=0, out=L)
+        Q /= L
+        np.multiply(Q, Y.T[:, None, :], out=H)
+        np.sqrt(H, out=H)
+        np.sum(H, axis=0, out=Hsum)
+        np.subtract(1.0, Hsum, out=L)
+        return L, (Q, H, Hsum)
 
 
 def local_loss_matrix(B: np.ndarray, X: np.ndarray, Y: np.ndarray,
@@ -132,50 +200,110 @@ def local_loss_matrix(B: np.ndarray, X: np.ndarray, Y: np.ndarray,
     if Y.ndim == 1:
         Y = Y[:, None]
     _check_shapes(B, X, Y, task)
-    if task.is_classification:
-        L, _ = _classification_losses(B, X, Y, task.n_classes)
-    else:
-        L, _ = _regression_losses(B, X, Y[:, 0])
-    return L
+    return _local_losses(B, X, Y, task, Workspace())[0]
 
 
-def _data_grad_b(B, X, Y, task: TaskKind, V, cache):
-    """Gradient of sum_ij V_ij L_ij with respect to B."""
+def _grad_b(B, X, task: TaskKind, V, cache, work: Workspace) -> np.ndarray:
+    """Gradient of sum_ij V_ij L_ij with respect to B, as a fresh array.
+
+    Overwrites the probability planes (classification) or the scratch
+    buffer "T" (regression).
+    """
     if task.is_classification:
         Q, H, Hsum = cache
-        p = task.n_classes
         # d L_ij / d logit_c = -(H_c - Q_c * Hsum) / 2 for the p-1 free logits
-        T = -0.5 * (H[:, :, : p - 1] - Q[:, :, : p - 1] * Hsum[:, :, None])
-        G = V[:, :, None] * T
-        gB3 = np.einsum("ijc,jk->ick", G, X)
-        return gB3.reshape(B.shape)
-    R = cache
-    return 2.0 * ((V * R) @ X)
+        G = Q[:task.n_classes - 1]
+        G *= Hsum
+        np.subtract(H[:task.n_classes - 1], G, out=G)
+        G *= -0.5
+        G *= V
+        return np.einsum("cij,jk->ick", G, X).reshape(B.shape)
+    T = work.buffer("T", cache.shape)
+    np.multiply(V, cache, out=T)
+    gB = T @ X
+    gB *= 2.0
+    return gB
 
 
-def _data_grad_z(Z, D, W, L, S):
-    """Gradient of sum_ij W_ij L_ij with respect to Z.
+def _forward(X, Y, B, Z, Z_old, task: TaskKind, work: Workspace):
+    """Distances, softmax weights and local losses of the optimized rows
+    (B, Z) against all N rows, in ``work``'s buffers.
 
-    ``S`` is the per-row weighted loss sum_j W_ij L_ij.  The dependence on
-    Z goes only through the softmax weights; collecting terms gives, for
-    each ordered pair, a coefficient W_ik (S_i - L_ik) on dD_ik.
+    Returns ``(S, Z_all, D, W, L, cache)`` where S_i = sum_j W_ij L_ij is a
+    fresh array and ``Z_all`` stacks ``Z_old`` over ``Z``.
     """
-    M = W * (S[:, None] - L)
-    A = M + M.T
-    inv = 1.0 / np.sqrt(D * D + _DIST_GRAD_EPS)
-    np.fill_diagonal(inv, 0.0)  # D_ii is identically zero, no gradient
-    C = A * inv
-    return C.sum(axis=1)[:, None] * Z - C @ Z
+    k, n_old = B.shape[0], Z_old.shape[0]
+    N = n_old + k
+    if X.shape[0] != N:
+        raise ShapeError("item count does not match frozen plus optimized "
+                         "rows", expected=N, got=X.shape[0])
+    Z_all = np.concatenate([Z_old, Z]) if n_old else Z
+    D = work.buffer("D", (k, N))
+    W = work.buffer("W", (k, N))
+    _distances_into(D, Z, Z_all, n_old, W)
+    np.negative(D, out=W)
+    np.exp(W, out=W)
+    W /= W.sum(axis=1, keepdims=True)
+    L, cache = _local_losses(B, X, Y, task, work)
+    T = work.buffer("T", (k, N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(W, L, out=T)
+        S = T.sum(axis=1)
+    return S, Z_all, D, W, L, cache
+
+
+def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
+              work: Workspace | None, what: str):
+    """The loss of the optimized rows (their weighted data losses over all
+    items plus their own penalties) and its gradients with respect to
+    (B, Z), as fresh arrays."""
+    work = Workspace() if work is None else work
+    S, Z_all, D, W, L, cache = _forward(X, Y, B, Z, Z_old, task, work)
+    total = float(S.sum()) \
+        + hp.lambda_z * float((Z * Z).sum()) \
+        + hp.lambda_lasso * float(np.abs(B).sum())
+    if not np.isfinite(total):
+        raise NumericError(f"{what} is non-finite")
+    gB = _grad_b(B, X, task, W, cache, work)
+    gB += hp.lambda_lasso * np.sign(B)
+
+    # The Z dependence goes only through the softmax weights: row i's term
+    # has the coefficient M_ij = W_ij (S_i - L_ij) on dD_ij.  A distance
+    # between two optimized rows appears in both of their terms, so on
+    # that block the coefficients add up to M + M^T.
+    n_old = Z_old.shape[0]
+    M = work.buffer("T", L.shape)
+    np.subtract(S[:, None], L, out=M)
+    M *= W
+    A = L  # the losses are not needed any more
+    A[:, :n_old] = M[:, :n_old]
+    np.add(M[:, n_old:], M[:, n_old:].T, out=A[:, n_old:])
+    inv = D  # 1 / sqrt(D^2 + eps), over the distances
+    np.multiply(D, D, out=inv)
+    inv += _DIST_GRAD_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    _self_pairs(inv, n_old)[...] = 0.0  # D_ii is identically zero
+    C = A
+    C *= inv
+    gZ = C.sum(axis=1)[:, None] * Z
+    gZ -= C @ Z_all
+    gZ += 2.0 * hp.lambda_z * Z
+    return total, gB, gZ
+
+
+def _as_problem(X, Y, B, Z):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    return X, Y, np.asarray(B, dtype=float), \
+        np.ascontiguousarray(Z, dtype=float)
 
 
 def loss_state(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> LossState:
     """Evaluate the full loss and return all intermediates."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y, B, Z = _as_problem(X, Y, B, Z)
     _check_shapes(B, X, Y, task)
     if B.shape[0] != Z.shape[0] or Z.shape[1] != hp.d:
         raise ShapeError("B and Z row counts (or Z width) disagree",
@@ -203,30 +331,16 @@ def total_loss(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> float:
     return loss_state(X, Y, B, Z, hp, task).total
 
 
-def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
-    """Loss value plus analytic gradients (dB, dZ) in one pass."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
+                       work: Workspace | None = None):
+    """Loss value plus analytic gradients (dB, dZ) in one pass.
+
+    ``work`` lends the evaluation its buffers; pass the same Workspace to
+    every evaluation of a solve.  The gradients are always fresh arrays.
+    """
+    X, Y, B, Z = _as_problem(X, Y, B, Z)
     _check_shapes(B, X, Y, task)
-    D = pairwise_distances(Z)
-    W = softmax_weights(D)
-    if task.is_classification:
-        L, cache = _classification_losses(B, X, Y, task.n_classes)
-    else:
-        L, cache = _regression_losses(B, X, Y[:, 0])
-    S = (W * L).sum(axis=1)
-    total = float(S.sum()) \
-        + hp.lambda_z * float((Z * Z).sum()) \
-        + hp.lambda_lasso * float(np.abs(B).sum())
-    if not np.isfinite(total):
-        raise NumericError("total loss is non-finite")
-    gB = _data_grad_b(B, X, Y, task, W, cache) + hp.lambda_lasso * np.sign(B)
-    gZ = _data_grad_z(Z, D, W, L, S) + 2.0 * hp.lambda_z * Z
-    return total, gB, gZ
+    return _evaluate(X, Y, B, Z, Z[:0], hp, task, work, "total loss")
 
 
 def loss_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
@@ -236,7 +350,8 @@ def loss_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
 
 
 def added_loss_and_gradients(X_all, Y_all, B_old, Z_old, B_new, Z_new,
-                             hp: Hyperparams, task: TaskKind):
+                             hp: Hyperparams, task: TaskKind,
+                             work: Workspace | None = None):
     """Loss of appended rows against a frozen base, with gradients.
 
     The value is the appended rows' share of the incremented total loss:
@@ -245,53 +360,30 @@ def added_loss_and_gradients(X_all, Y_all, B_old, Z_old, B_new, Z_new,
     held constant together with their parameters, so a feasible appended
     row can never end up with a larger contribution than the row it
     copies.  Gradients are with respect to the appended (B, Z) only.
+    ``work`` is as in :func:`loss_and_gradients`.
     """
-    X_all = np.asarray(X_all, dtype=float)
-    Y_all = np.asarray(Y_all, dtype=float)
-    if Y_all.ndim == 1:
-        Y_all = Y_all[:, None]
-    B_new = np.asarray(B_new, dtype=float)
-    Z_new = np.asarray(Z_new, dtype=float)
-    Z_old = np.asarray(Z_old, dtype=float)
-    n_new = B_new.shape[0]
-    n_old = Z_old.shape[0]
+    X_all, Y_all, B_new, Z_new = _as_problem(X_all, Y_all, B_new, Z_new)
     _check_shapes(B_new, X_all, Y_all, task)
-    Z_all = np.vstack([Z_old, Z_new])
+    return _evaluate(X_all, Y_all, B_new, Z_new,
+                     np.asarray(Z_old, dtype=float), hp, task, work,
+                     "appended-row loss")
 
-    # Distances from each new row to every row (new rows occupy the tail).
-    diff_sq = np.einsum("ij,ij->i", Z_new, Z_new)[:, None] \
-        + np.einsum("ij,ij->i", Z_all, Z_all)[None, :] \
-        - 2.0 * (Z_new @ Z_all.T)
-    np.maximum(diff_sq, 0.0, out=diff_sq)
-    D = np.sqrt(diff_sq)
-    idx = np.arange(n_new)
-    D[idx, n_old + idx] = 0.0
-    E = np.exp(-D)
-    W = E / E.sum(axis=1, keepdims=True)
 
-    if task.is_classification:
-        L, cache = _classification_losses(B_new, X_all, Y_all, task.n_classes)
-    else:
-        L, cache = _regression_losses(B_new, X_all, Y_all[:, 0])
-    S = (W * L).sum(axis=1)
-    total = float(S.sum()) + hp.lambda_z * float((Z_new * Z_new).sum()) \
-        + hp.lambda_lasso * float(np.abs(B_new).sum())
-    if not np.isfinite(total):
-        raise NumericError("appended-row loss is non-finite")
+def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
+                      Z_old=None, work: Workspace | None = None) -> np.ndarray:
+    """Per-row share of the total loss: each row's weighted data loss plus
+    its own embedding and lasso penalties.
 
-    gB = _data_grad_b(B_new, X_all, Y_all, task, W, cache) \
-        + hp.lambda_lasso * np.sign(B_new)
-
-    # dD coefficients: row u's term reacts to D_uj for every j; distances
-    # between two appended rows appear in both of their terms.
-    M = W * (S[:, None] - L)
-    inv = 1.0 / np.sqrt(D * D + _DIST_GRAD_EPS)
-    inv[idx, n_old + idx] = 0.0  # self-distances carry no gradient
-    C = M * inv
-    C_new = C[:, n_old:]
-    gZ = (C.sum(axis=1) + C_new.sum(axis=0))[:, None] * Z_new \
-        - C @ Z_all - C_new.T @ Z_new + 2.0 * hp.lambda_z * Z_new
-    return total, gB, gZ
+    With ``Z_old`` the rows (B, Z) are appended after frozen embedding rows
+    ``Z_old``, and (X, Y) hold the items of all rows, old ones first.
+    """
+    X, Y, B, Z = _as_problem(X, Y, B, Z)
+    _check_shapes(B, X, Y, task)
+    Z_old = Z[:0] if Z_old is None else np.asarray(Z_old, dtype=float)
+    S = _forward(X, Y, B, Z, Z_old, task,
+                 Workspace() if work is None else work)[0]
+    return S + hp.lambda_z * (Z * Z).sum(axis=1) \
+        + hp.lambda_lasso * np.abs(B).sum(axis=1)
 
 
 def pointwise_losses(b: np.ndarray, X, Y, task: TaskKind) -> np.ndarray:
@@ -314,11 +406,9 @@ def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,
         Y = Y[:, None]
     B = b[None, :]
     _check_shapes(B, X, Y, task)
-    if task.is_classification:
-        L, cache = _classification_losses(B, X, Y, task.n_classes)
-    else:
-        L, cache = _regression_losses(B, X, Y[:, 0])
-    V = np.ones_like(L)
+    work = Workspace()
+    L, cache = _local_losses(B, X, Y, task, work)
     f = float(L.sum()) + lambda_lasso * float(np.abs(b).sum())
-    g = _data_grad_b(B, X, Y, task, V, cache)[0] + lambda_lasso * np.sign(b)
+    g = _grad_b(B, X, task, np.ones_like(L), cache, work)[0] \
+        + lambda_lasso * np.sign(b)
     return f, g

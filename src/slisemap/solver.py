@@ -19,9 +19,10 @@ import numpy as np
 from . import lbfgs
 from .errors import NumericError, ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import (Hyperparams, added_loss_and_gradients,
+from .objective import (Hyperparams, Workspace, added_loss_and_gradients,
                         loss_and_gradients, local_loss_matrix,
-                        pairwise_distances, softmax_weights, total_loss)
+                        pairwise_distances, row_contributions,
+                        softmax_weights, total_loss)
 
 
 @dataclass(frozen=True)
@@ -246,9 +247,11 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     # rescaled embedding variable keeps the joint problem well conditioned
     # without changing the loss or its minimizer.
     scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
+    work = Workspace()
 
     def closure(Bc, V):
-        f, gB, gZ = loss_and_gradients(X, Y, Bc, V / scale, hp, task)
+        f, gB, gZ = loss_and_gradients(X, Y, Bc, V / scale, hp, task,
+                                       work=work)
         return f, gB, gZ / scale
 
     def minimize_from(Bc, Zc):
@@ -309,21 +312,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         loss_history=history, numeric_warning=numeric_warning)
 
 
-def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> np.ndarray:
-    """Per-row share of the total loss: each row's weighted data loss plus
-    its own embedding and lasso penalties."""
-    D = pairwise_distances(np.asarray(Z, dtype=float))
-    W = softmax_weights(D)
-    L = local_loss_matrix(B, X, Y, task)
-    B = np.asarray(B, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    return (W * L).sum(axis=1) + hp.lambda_z * (Z * Z).sum(axis=1) \
-        + hp.lambda_lasso * np.abs(B).sum(axis=1)
-
-
 def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig):
     """Optimize the new rows jointly against the frozen old solution."""
-    n_old = sol.n
     Xc = np.vstack([sol.X, X_new])
     Yc = np.vstack([sol.Y, Y_new])
     hp, task = sol.hyperparams, sol.task
@@ -336,17 +326,17 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig):
     Z0 = sol.Z[ks].copy()
 
     scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
+    work = Workspace()
 
     def closure(Bn, V):
         f, gB, gZ = added_loss_and_gradients(Xc, Yc, sol.B, sol.Z, Bn,
-                                             V / scale, hp, task)
+                                             V / scale, hp, task, work=work)
         return f, gB, gZ / scale
 
     B_new, V_new, _ = lbfgs_minimize(closure, B0, Z0 * scale, config)
     Z_new = V_new / scale
-    Bc = np.vstack([sol.B, B_new])
-    Zc = np.vstack([sol.Z, Z_new])
-    contrib = row_contributions(Xc, Yc, Bc, Zc, hp, task)[n_old:]
+    contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
+                                work=work)
     return B_new, Z_new, contrib
 
 

@@ -9,9 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slisemap.model import TaskKind
 from slisemap.objective import Hyperparams
+
+# Property tests draw a fixed, bounded set of examples (derandomized, no
+# example database) so the suite stays deterministic and short; no
+# deadline, because timings on a shared machine vary.
+settings.register_profile("slisemap", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("slisemap")
 
 
 def scalar_point_loss(b, x, y, task: TaskKind) -> float:

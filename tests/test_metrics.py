@@ -267,3 +267,42 @@ class TestComputeReport:
         assert 0.0 <= report.coverage_full <= 1.0
         assert 0.0 <= report.fidelity_point <= 1.0  # Hellinger is bounded
         assert 0.0 <= report.threshold_l0 <= 1.0
+
+    def test_matches_the_separate_metric_functions(self, rsynth_solution):
+        ds, _, sol = rsynth_solution
+        ks = [25, 5, 10, 5]
+        report = compute_report(sol, ks=ks, labels=ds.labels)
+        l0 = report.threshold_l0
+        assert report.fidelity_point == fidelity(sol)
+        assert report.coverage_full == coverage(sol, l0)
+        for k in sorted(set(ks)):
+            assert report.fidelity_knn[k] == fidelity(sol, k)
+            assert report.coverage_knn[k] == coverage(sol, l0, k)
+            assert report.purity_knn[k] == cluster_purity(sol.Z, ds.labels, k)
+
+    def test_builds_loss_matrix_and_neighbour_order_once(self,
+                                                         rsynth_solution,
+                                                         monkeypatch):
+        import slisemap.metrics as metrics_module
+
+        ds, _, sol = rsynth_solution
+        calls = {"loss": 0, "knn": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metrics_module, "local_loss_matrix",
+                            counted("loss", metrics_module.local_loss_matrix))
+        monkeypatch.setattr(metrics_module, "knn_indices",
+                            counted("knn", metrics_module.knn_indices))
+        compute_report(sol, ks=[5, 10, 25, 50], labels=ds.labels)
+        assert calls == {"loss": 1, "knn": 1}
+
+    @pytest.mark.parametrize("k", [0, -1, 80, 81])
+    def test_out_of_range_k_rejected(self, rsynth_solution, k):
+        _, _, sol = rsynth_solution
+        with pytest.raises(SlisemapError, match="1 <= k < n"):
+            compute_report(sol, ks=[5, k])

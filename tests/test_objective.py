@@ -2,19 +2,23 @@
 total loss, and analytic gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (central_difference, max_grad_error, random_instance,
                       scalar_total_loss)
 from slisemap.errors import NumericError, ShapeError
 from slisemap.model import TaskKind, hellinger_sq, linear_predict, \
     multinomial_predict, quadratic_loss
-from slisemap.objective import (Hyperparams, added_loss_and_gradients,
-                                local_loss_matrix, loss_and_gradients,
-                                loss_gradients, loss_state,
-                                pairwise_distances, softmax_weights,
+from slisemap.objective import (Hyperparams, Workspace,
+                                added_loss_and_gradients, local_loss_matrix,
+                                loss_and_gradients, loss_gradients,
+                                loss_state, pairwise_distances,
+                                row_contributions, softmax_weights,
                                 total_loss)
 
 REG = TaskKind.regression()
@@ -261,3 +265,99 @@ class TestAddedRowsObjective:
         Zc = np.vstack([Z, Z[i:i + 1]])
         ref = scalar_row_contribution(Xc, Yc, Bc, Zc, hp, REG, 4)
         assert abs(f - ref) < 1e-10
+
+
+@st.composite
+def problems(draw, max_n=8):
+    """A random instance: regression or p-class classification (p in
+    2..5), n <= max_n items, embedding width d in {1, 2, 3}."""
+    task = draw(st.one_of(st.just(REG),
+                          st.integers(2, 5).map(TaskKind.classification)))
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([1, 2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    X, Y, B, Z, hp = random_instance(task, n, m, d,
+                                     np.random.default_rng(seed))
+    return task, X, Y, B, Z, hp
+
+
+def evaluate(problem, n_old=0, work=None):
+    """The kernel on a problem, with its first ``n_old`` rows frozen."""
+    task, X, Y, B, Z, hp = problem
+    if n_old == 0:
+        return loss_and_gradients(X, Y, B, Z, hp, task, work=work)
+    return added_loss_and_gradients(X, Y, B[:n_old], Z[:n_old], B[n_old:],
+                                    Z[n_old:], hp, task, work=work)
+
+
+def assert_bit_identical(a, b):
+    f_a, gB_a, gZ_a = a
+    f_b, gB_b, gZ_b = b
+    assert np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
+    assert gB_a.shape == gB_b.shape and gB_a.tobytes() == gB_b.tobytes()
+    assert gZ_a.shape == gZ_b.shape and gZ_a.tobytes() == gZ_b.tobytes()
+
+
+class TestKernelProperties:
+    @given(problems())
+    def test_loss_matches_scalar_loop_oracle(self, problem):
+        task, X, Y, B, Z, hp = problem
+        f, _, _ = loss_and_gradients(X, Y, B, Z, hp, task)
+        ref = scalar_total_loss(X, Y, B, Z, hp, task)
+        assert abs(f - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    @given(problems())
+    def test_no_frozen_rows_is_the_full_problem(self, problem):
+        task, X, Y, B, Z, hp = problem
+        added = added_loss_and_gradients(X, Y, B[:0], Z[:0], B, Z, hp, task)
+        assert_bit_identical(added, loss_and_gradients(X, Y, B, Z, hp, task))
+
+    @given(st.lists(problems(), min_size=2, max_size=4))
+    def test_reused_workspace_matches_fresh_calls(self, problems_):
+        work = Workspace()
+        for problem in problems_:
+            n = problem[1].shape[0]
+            for n_old in sorted({0, n // 2}):
+                assert_bit_identical(evaluate(problem, n_old, work),
+                                     evaluate(problem, n_old))
+
+    @given(problems(), problems())
+    def test_later_calls_leave_earlier_results_alone(self, first, second):
+        work = Workspace()
+        out = evaluate(first, work=work)
+        kept = (out[0], out[1].copy(), out[2].copy())
+        task, X, Y, B, Z, hp = first
+        evaluate(second, work=work)
+        evaluate((task, X, Y, B + 1.0, Z - 1.0, hp), work=work)  # same shapes
+        assert_bit_identical(out, kept)
+
+
+class TestWorkspaceAllocation:
+    @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)])
+    def test_evaluation_allocates_no_n_by_n_array(self, task, rng):
+        """After a warm-up call, an evaluation works in the workspace's
+        buffers: its peak allocation stays below one n x n array."""
+        n = 200
+        X, Y, B, Z, hp = random_instance(task, n, 10, 2, rng)
+        work = Workspace()
+        loss_and_gradients(X, Y, B, Z, hp, task, work=work)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(X, Y, B, Z, hp, task, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
+class TestRowContributions:
+    @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)])
+    def test_appended_rows_match_the_whole_problem(self, task, rng):
+        X, Y, B, Z, hp = random_instance(task, 9, 3, 2, rng)
+        whole = row_contributions(X, Y, B, Z, hp, task)
+        appended = row_contributions(X, Y, B[6:], Z[6:], hp, task,
+                                     Z_old=Z[:6])
+        np.testing.assert_allclose(appended, whole[6:], rtol=1e-12)
+        assert abs(whole.sum() - total_loss(X, Y, B, Z, hp, task)) \
+            < 1e-10 * (1.0 + abs(whole.sum()))
