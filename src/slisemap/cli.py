@@ -76,7 +76,7 @@ def _positive_float(text):
 
 def _nonneg_float(text):
     v = float(text)
-    if v < 0:
+    if not v >= 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return v
 
@@ -265,12 +265,7 @@ def cmd_sweep(args) -> int:
         fit_args = argparse.Namespace(**{**vars(args), "seed": seed})
         ds = _load_for_fit(fit_args, task)
         hp = Hyperparams(lambda_z=lz, lambda_lasso=args.lambda_lasso, d=args.d)
-        config = solvermod.SolverConfig(
-            max_outer_iters=args.max_outer_iters,
-            lbfgs_history=args.lbfgs_history,
-            lbfgs_max_iters=args.lbfgs_max_iters,
-            rel_tol=args.rel_tol, seed=seed, escape=not args.no_escape)
-        sol = _fit_dataset(ds, task, hp, config)
+        sol = _fit_dataset(ds, task, hp, _solver_config(fit_args))
         ks = args.k if args.k else [k for k in (5, 10, 25, 50) if k < sol.n]
         report = metricsmod.compute_report(sol, ks, quantile=args.quantile)
         for k in ks:

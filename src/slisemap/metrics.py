@@ -101,6 +101,8 @@ def loss_threshold(global_losses, q: float = 0.3) -> float:
     losses = np.asarray(global_losses, dtype=float)
     if losses.size == 0:
         raise SlisemapError("loss_threshold needs a nonempty loss vector")
+    if not 0 <= q <= 1:
+        raise SlisemapError(f"quantile must be in [0, 1], got {q}")
     return float(np.quantile(losses, q))
 
 

@@ -51,7 +51,7 @@ class Hyperparams:
     def __post_init__(self):
         if not self.lambda_z > 0:
             raise ValueError(f"lambda_z must be > 0, got {self.lambda_z}")
-        if self.lambda_lasso < 0:
+        if not self.lambda_lasso >= 0:
             raise ValueError(f"lambda_lasso must be >= 0, got {self.lambda_lasso}")
         if self.d < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {self.d}")
@@ -252,6 +252,24 @@ def _forward(X, Y, B, Z, Z_old, task: TaskKind, work: Workspace):
     return S, Z_all, D, W, L, cache
 
 
+def _total(S, B, Z, hp: Hyperparams, what: str) -> float:
+    """The weighted data term sum(S) plus the penalties of (B, Z); a
+    non-finite total raises a NumericError naming the first bad term."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = float(S.sum())
+        z_pen = hp.lambda_z * float((Z * Z).sum())
+        lasso = hp.lambda_lasso * float(np.abs(B).sum())
+    total = data + z_pen + lasso
+    if not np.isfinite(total):
+        for name, v in (("weighted data term", data),
+                        ("embedding penalty", z_pen),
+                        ("lasso penalty", lasso)):
+            if not np.isfinite(v):
+                raise NumericError(f"{what} is non-finite: {name} = {v}")
+        raise NumericError(f"{what} is non-finite")
+    return total
+
+
 def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
               work: Workspace | None, what: str):
     """The loss of the optimized rows (their weighted data losses over all
@@ -259,11 +277,7 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     (B, Z), as fresh arrays."""
     work = Workspace() if work is None else work
     S, Z_all, D, W, L, cache = _forward(X, Y, B, Z, Z_old, task, work)
-    total = float(S.sum()) \
-        + hp.lambda_z * float((Z * Z).sum()) \
-        + hp.lambda_lasso * float(np.abs(B).sum())
-    if not np.isfinite(total):
-        raise NumericError(f"{what} is non-finite")
+    total = _total(S, B, Z, hp, what)
     gB = _grad_b(B, X, task, W, cache, work)
     gB += hp.lambda_lasso * np.sign(B)
 
@@ -308,22 +322,8 @@ def loss_state(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> LossState:
     if B.shape[0] != Z.shape[0] or Z.shape[1] != hp.d:
         raise ShapeError("B and Z row counts (or Z width) disagree",
                          expected=(B.shape[0], hp.d), got=Z.shape)
-    D = pairwise_distances(Z)
-    W = softmax_weights(D)
-    L = local_loss_matrix(B, X, Y, task)
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = float((W * L).sum())
-        z_pen = hp.lambda_z * float((Z * Z).sum())
-        lasso = hp.lambda_lasso * float(np.abs(B).sum())
-    total = data + z_pen + lasso
-    if not np.isfinite(total):
-        for name, v in (("weighted data term", data),
-                        ("embedding penalty", z_pen),
-                        ("lasso penalty", lasso)):
-            if not np.isfinite(v):
-                raise NumericError(f"total loss is non-finite: {name} = {v}")
-        raise NumericError("total loss is non-finite")
-    return LossState(D=D, W=W, L=L, total=total)
+    S, _, D, W, L, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
+    return LossState(D=D, W=W, L=L, total=_total(S, B, Z, hp, "total loss"))
 
 
 def total_loss(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> float:

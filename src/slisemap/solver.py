@@ -168,30 +168,44 @@ def init(X, Y, hp: Hyperparams, task: TaskKind, seed: int):
     return B0, Z0
 
 
-def lbfgs_minimize(fun_and_grad, B0, Z0, config: SolverConfig):
+def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
+                   config: SolverConfig):
     """Minimize a callback over (B, Z) jointly; returns (B, Z, loss).
 
     ``fun_and_grad(B, Z)`` must return ``(loss, dB, dZ)``.  The two blocks
-    are flattened into one parameter vector for the quasi-Newton core.
+    are flattened into one parameter vector for the quasi-Newton core;
+    ``hp.lambda_z`` sets the scale of its embedding block.
     """
     B0 = np.asarray(B0, dtype=float)
     Z0 = np.asarray(Z0, dtype=float)
     nb = B0.size
+    # Large lambda_z makes the embedding block of the Hessian (about
+    # 2*lambda_z) vastly stiffer than the model block; optimizing the
+    # rescaled embedding V = Z * scale keeps the joint problem well
+    # conditioned without changing the loss or its minimizer.
+    scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
 
     def unpack(x):
         return x[:nb].reshape(B0.shape), x[nb:].reshape(Z0.shape)
 
     def fg(x):
-        B, Z = unpack(x)
-        f, gB, gZ = fun_and_grad(B, Z)
-        return f, np.concatenate([gB.ravel(), gZ.ravel()])
+        B, V = unpack(x)
+        f, gB, gZ = fun_and_grad(B, V / scale)
+        return f, np.concatenate([gB.ravel(), (gZ / scale).ravel()])
 
-    x0 = np.concatenate([B0.ravel(), Z0.ravel()])
+    x0 = np.concatenate([B0.ravel(), (Z0 * scale).ravel()])
     res = lbfgs.minimize(fg, x0, history=config.lbfgs_history,
                          max_iters=config.lbfgs_max_iters,
                          rel_tol=config.rel_tol)
-    B, Z = unpack(res.x)
-    return B.copy(), Z.copy(), res.fun
+    B, V = unpack(res.x)
+    return B.copy(), V / scale, res.fun
+
+
+def _best_rows(W, B, X, Y, task: TaskKind) -> np.ndarray:
+    """Per item i, the row k minimizing (W @ L)[k, i]: the losses L of the
+    models ``B`` on item i averaged under row k's weights ``W[k]``; ties
+    go to the smallest k."""
+    return np.argmin(W @ local_loss_matrix(B, X, Y, task), axis=0)
 
 
 def escape(X, Y, B, Z, task: TaskKind):
@@ -204,10 +218,7 @@ def escape(X, Y, B, Z, task: TaskKind):
     """
     B = np.asarray(B, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    W = softmax_weights(pairwise_distances(Z))
-    L = local_loss_matrix(B, X, Y, task)
-    scores = W @ L  # scores[k, i]: weighted loss of row k's neighbourhood on item i
-    ks = np.argmin(scores, axis=0)
+    ks = _best_rows(softmax_weights(pairwise_distances(Z)), B, X, Y, task)
     return B[ks].copy(), Z[ks].copy()
 
 
@@ -241,26 +252,14 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
     B, Z = init(X, Y, hp, task, config.seed)
     f0 = total_loss(X, Y, B, Z, hp, task)  # raises NumericError if not finite
-
-    # Large lambda_z makes the embedding block of the Hessian (about
-    # 2*lambda_z) vastly stiffer than the model block; optimizing a
-    # rescaled embedding variable keeps the joint problem well conditioned
-    # without changing the loss or its minimizer.
-    scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
     work = Workspace()
 
-    def closure(Bc, V):
-        f, gB, gZ = loss_and_gradients(X, Y, Bc, V / scale, hp, task,
-                                       work=work)
-        return f, gB, gZ / scale
-
-    def minimize_from(Bc, Zc):
-        Bc, V, f = lbfgs_minimize(closure, Bc, Zc * scale, config)
-        return Bc, V / scale, f
+    def fun_and_grad(Bc, Zc):
+        return loss_and_gradients(X, Y, Bc, Zc, hp, task, work=work)
 
     numeric_warning = False
     try:
-        B, Z, f = minimize_from(B, Z)
+        B, Z, f = lbfgs_minimize(fun_and_grad, B, Z, hp, config)
     except NumericError:
         warnings.warn("numeric failure in the initial minimization; "
                       "returning the unoptimized starting point")
@@ -281,7 +280,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
             and not numeric_warning:
         B_e, Z_e = escape(X, Y, B, Z, task)
         try:
-            B, Z, f = minimize_from(B_e, Z_e)
+            B, Z, f = lbfgs_minimize(fun_and_grad, B_e, Z_e, hp, config)
         except NumericError:
             warnings.warn("numeric failure mid-fit; returning the best "
                           "state found so far")
@@ -312,29 +311,26 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         loss_history=history, numeric_warning=numeric_warning)
 
 
-def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig):
-    """Optimize the new rows jointly against the frozen old solution."""
+def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, W_old,
+               work: Workspace):
+    """Optimize the new rows jointly against the frozen old solution.
+
+    ``W_old`` is the old solution's softmax weight matrix; ``work`` lends
+    the solve its buffers.
+    """
     Xc = np.vstack([sol.X, X_new])
     Yc = np.vstack([sol.Y, Y_new])
     hp, task = sol.hyperparams, sol.task
 
     # Escape against the old solution: candidate rows are old rows only.
-    W_old = softmax_weights(pairwise_distances(sol.Z))
-    L_cross = local_loss_matrix(sol.B, X_new, Y_new, task)  # old models x new items
-    ks = np.argmin(W_old @ L_cross, axis=0)
-    B0 = sol.B[ks].copy()
-    Z0 = sol.Z[ks].copy()
+    ks = _best_rows(W_old, sol.B, X_new, Y_new, task)
 
-    scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
-    work = Workspace()
+    def fun_and_grad(Bn, Zn):
+        return added_loss_and_gradients(Xc, Yc, sol.B, sol.Z, Bn, Zn, hp,
+                                        task, work=work)
 
-    def closure(Bn, V):
-        f, gB, gZ = added_loss_and_gradients(Xc, Yc, sol.B, sol.Z, Bn,
-                                             V / scale, hp, task, work=work)
-        return f, gB, gZ / scale
-
-    B_new, V_new, _ = lbfgs_minimize(closure, B0, Z0 * scale, config)
-    Z_new = V_new / scale
+    B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[ks], sol.Z[ks], hp,
+                                     config)
     contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
                                 work=work)
     return B_new, Z_new, contrib
@@ -362,9 +358,12 @@ def add_new(sol: Solution, X_new, Y_new,
         raise ShapeError("new responses do not match the solution",
                          expected=(X_new.shape[0], sol.Y.shape[1]),
                          got=Y_new.shape)
+    W_old = softmax_weights(pairwise_distances(sol.Z))
+    work = Workspace()
     if not one_by_one or X_new.shape[0] <= 1:
-        return _add_batch(sol, X_new, Y_new, config)
-    parts = [_add_batch(sol, X_new[i:i + 1], Y_new[i:i + 1], config)
+        return _add_batch(sol, X_new, Y_new, config, W_old, work)
+    parts = [_add_batch(sol, X_new[i:i + 1], Y_new[i:i + 1], config, W_old,
+                        work)
              for i in range(X_new.shape[0])]
     B_new = np.vstack([p[0] for p in parts])
     Z_new = np.vstack([p[1] for p in parts])

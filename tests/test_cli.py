@@ -83,6 +83,14 @@ class TestFit:
                   "--lambda-z", "0", "--out", str(tmp_path / "s.json")])
         assert exc.value.code == 2
 
+    def test_rejects_nan_lambda_lasso(self, workspace, tmp_path):
+        _, gen, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(gen / "data.csv"), "--target", "y",
+                  "--lambda-z", "0.1", "--lambda-lasso", "nan",
+                  "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+
     def test_collapse_warning_on_huge_lambda_z(self, workspace, tmp_path,
                                                capsys):
         _, gen, _ = workspace
@@ -180,6 +188,21 @@ class TestMetrics:
         knn_rows = [r for r in rows if r[0] == "fidelity_knn"]
         assert len(knn_rows) == 3
 
+    def test_nan_quantile_is_usage_error(self, workspace, tmp_path):
+        _, _, sol_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--solution", str(sol_path), "--quantile", "nan",
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
+    def test_quantile_above_one_is_data_error(self, workspace, tmp_path,
+                                              capsys):
+        _, _, sol_path = workspace
+        rc = main(["metrics", "--solution", str(sol_path), "--quantile", "2",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "quantile" in capsys.readouterr().err
+
     def test_labels_length_mismatch(self, workspace, tmp_path):
         _, _, sol_path = workspace
         bad = tmp_path / "lab.csv"
@@ -205,6 +228,15 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 2
         seeds = {r[-1] for r in rows[1:]}
         assert seeds == {"2", "3"}  # seed + grid index
+
+    def test_quantile_above_one_is_data_error(self, workspace, tmp_path,
+                                              capsys):
+        _, gen, _ = workspace
+        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                   "--lambda-z", "0.1", "--k", "5", "--quantile", "2",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
+        assert "quantile" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -86,6 +86,11 @@ class TestLossThreshold:
         with pytest.raises(SlisemapError):
             loss_threshold([])
 
+    @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_quantile_rejected(self, q):
+        with pytest.raises(SlisemapError, match="quantile"):
+            loss_threshold([1.0, 2.0], q)
+
 
 class TestKnnIndices:
     def test_excludes_self_and_breaks_ties_low(self):

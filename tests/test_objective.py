@@ -36,6 +36,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(lambda_z=-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_z", "lambda_lasso"])
+    def test_rejects_nan_penalties(self, field):
+        with pytest.raises(ValueError):
+            Hyperparams(**{"lambda_z": 0.1, field: math.nan})
+
     def test_defaults(self):
         hp = Hyperparams(lambda_z=0.1)
         assert hp.lambda_lasso == 1e-4
@@ -178,11 +183,17 @@ class TestTotalLoss:
                   for lz in (1e-3, 1e-2, 1e-1, 1.0, 10.0)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_non_finite_names_term(self, rng):
+    @pytest.mark.parametrize("loss", [
+        lambda X, Y, B, Z, hp: total_loss(X, Y, B, Z, hp, REG),
+        lambda X, Y, B, Z, hp: loss_and_gradients(X, Y, B, Z, hp, REG),
+        lambda X, Y, B, Z, hp: added_loss_and_gradients(
+            X, Y, B[:2], Z[:2], B[2:], Z[2:], hp, REG),
+    ], ids=["total_loss", "loss_and_gradients", "added_loss_and_gradients"])
+    def test_non_finite_names_term(self, loss, rng):
         X, Y, B, Z, hp = random_instance(REG, 4, 3, 2, rng)
         Y = Y * 1e200  # squared residuals overflow
         with pytest.raises(NumericError) as err:
-            total_loss(X, Y, B, Z, hp, REG)
+            loss(X, Y, B, Z, hp)
         assert "data term" in str(err.value)
 
 
@@ -312,6 +323,22 @@ class TestKernelProperties:
         task, X, Y, B, Z, hp = problem
         added = added_loss_and_gradients(X, Y, B[:0], Z[:0], B, Z, hp, task)
         assert_bit_identical(added, loss_and_gradients(X, Y, B, Z, hp, task))
+
+    @given(problems())
+    def test_total_loss_is_the_kernel_loss(self, problem):
+        task, X, Y, B, Z, hp = problem
+        f, _, _ = loss_and_gradients(X, Y, B, Z, hp, task)
+        assert np.float64(total_loss(X, Y, B, Z, hp, task)).tobytes() \
+            == np.float64(f).tobytes()
+
+    @given(problems())
+    def test_loss_state_matches_the_public_builders(self, problem):
+        task, X, Y, B, Z, hp = problem
+        state = loss_state(X, Y, B, Z, hp, task)
+        D = pairwise_distances(Z)
+        for got, want in ((state.D, D), (state.W, softmax_weights(D)),
+                          (state.L, local_loss_matrix(B, X, Y, task))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(st.lists(problems(), min_size=2, max_size=4))
     def test_reused_workspace_matches_fresh_calls(self, problems_):

@@ -55,7 +55,9 @@ class TestInit:
 
 
 class TestLbfgsMinimize:
-    def test_minimizes_block_quadratic(self, rng):
+    # lambda_z = 50 rescales the embedding block by 10
+    @pytest.mark.parametrize("lambda_z", [0.1, 50.0])
+    def test_minimizes_block_quadratic(self, lambda_z, rng):
         target_b = rng.standard_normal((3, 2))
         target_z = rng.standard_normal((3, 2))
 
@@ -65,6 +67,7 @@ class TestLbfgsMinimize:
                     2.0 * (B - target_b), 2.0 * (Z - target_z))
 
         B, Z, f = lbfgs_minimize(fg, np.zeros((3, 2)), np.zeros((3, 2)),
+                                 Hyperparams(lambda_z=lambda_z),
                                  SolverConfig(rel_tol=1e-12))
         np.testing.assert_allclose(B, target_b, atol=1e-6)
         np.testing.assert_allclose(Z, target_z, atol=1e-6)
@@ -233,6 +236,16 @@ class TestAddNew:
             assert B_new.shape == (4, sol.B.shape[1])
             assert Z_new.shape == (4, sol.Z.shape[1])
             assert np.isfinite(losses).all()
+
+    def test_one_by_one_is_stacked_single_additions(self, small_fit):
+        _, sol = small_fit
+        config = SolverConfig(seed=11)
+        together = add_new(sol, sol.X[:4], sol.Y[:4], config, one_by_one=True)
+        singles = [add_new(sol, sol.X[i:i + 1], sol.Y[i:i + 1], config)
+                   for i in range(4)]
+        for got, parts in zip(together, zip(*singles)):
+            want = np.concatenate(parts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit
