@@ -7,6 +7,16 @@ synthetic benchmark and CSV ingestion, and the ``slisemap`` CLI for the
 whole pipeline.
 """
 
+import os
+
+# Cap BLAS threading before numpy is first imported; has no effect when the
+# package is imported as a library after numpy.
+_threads = os.environ.get("SLISEMAP_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 from .data import Dataset, Normalization, RsynthSpec, generate_rsynth, \
     load_csv, normalize, subsample
 from .errors import DataError, NumericError, ShapeError, SlisemapError

@@ -10,16 +10,6 @@ Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 
 from __future__ import annotations
 
-import os
-
-# Cap BLAS threading before numpy is first imported; has no effect when the
-# package is imported as a library after numpy.
-_threads = os.environ.get("SLISEMAP_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import hashlib
@@ -258,6 +248,7 @@ def _read_labels(path, n: int) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
+    metricsmod.check_quantile(args.quantile)
     task = _task_from_args(args)
     rows = []
     for idx, lz in enumerate(args.lambda_z):
@@ -467,9 +458,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"{PROG}: error: data: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"{PROG}: error: numeric: {exc}", file=sys.stderr)
         return 4

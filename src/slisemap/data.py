@@ -86,10 +86,8 @@ def normalize(X_raw: np.ndarray):
             f"{int(constant.sum())} constant column(s) left unscaled "
             "(std recorded as 1)")
         std = np.where(constant, 1.0, std)
-    X = np.empty((X_raw.shape[0], X_raw.shape[1] + 1))
-    X[:, :-1] = (X_raw - mean) / std
-    X[:, -1] = 1.0
-    return X, Normalization(mean=mean, std=std)
+    norm = Normalization(mean=mean, std=std)
+    return apply_normalization(X_raw, norm), norm
 
 
 def apply_normalization(x_raw: np.ndarray, normalization: Normalization) -> np.ndarray:

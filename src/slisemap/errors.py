@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes (usage errors are handled by argparse
-itself): :class:`DataError` -> 3, :class:`NumericError` -> 4.
+itself): :class:`NumericError` -> 4, and every other
+:class:`SlisemapError` (:class:`DataError`, :class:`ShapeError`) -> 3.
 """
 
 

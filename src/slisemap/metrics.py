@@ -101,9 +101,14 @@ def loss_threshold(global_losses, q: float = 0.3) -> float:
     losses = np.asarray(global_losses, dtype=float)
     if losses.size == 0:
         raise SlisemapError("loss_threshold needs a nonempty loss vector")
+    check_quantile(q)
+    return float(np.quantile(losses, q))
+
+
+def check_quantile(q: float) -> None:
+    """Raise a SlisemapError unless ``q`` is a quantile in [0, 1]."""
     if not 0 <= q <= 1:
         raise SlisemapError(f"quantile must be in [0, 1], got {q}")
-    return float(np.quantile(losses, q))
 
 
 def _check_k(k: int, n: int) -> None:

@@ -1,4 +1,4 @@
-"""White-box local model families and their pointwise losses.
+"""White-box local model families: the task kinds and the logit transform.
 
 Two model families are supported: linear regression with quadratic loss,
 and multinomial logistic regression (last class is the reference) with
@@ -6,9 +6,9 @@ squared Hellinger loss.  Binary classification can alternatively be run
 through a logit transform of the positive-class probability, after which
 it is plain regression on the logit scale.
 
-All functions here are pure and operate on single vectors; the vectorized
-whole-matrix versions used during optimization live in
-:mod:`slisemap.objective`.
+:class:`TaskKind` fixes the coefficient and response shapes of a task;
+the losses themselves are computed, for whole matrices of models and
+items at once, in :mod:`slisemap.objective`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError
 
 # Probabilities are clamped to [LOGIT_EPS, 1 - LOGIT_EPS] before the logit
 # transform; black boxes routinely emit exact 0/1 and the transform must
@@ -90,68 +90,6 @@ class TaskKind:
         if s == CLASSIFICATION:
             raise DataError("classification task string must carry a class count")
         return cls(s)
-
-
-def linear_predict(x: np.ndarray, b: np.ndarray) -> float:
-    """Prediction of the linear model ``b`` on covariate vector ``x``.
-
-    ``x`` is expected to already carry its intercept entry.
-    """
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != b.shape or x.ndim != 1:
-        raise ShapeError("covariate and coefficient lengths differ",
-                         expected=x.shape, got=b.shape)
-    return float(x @ b)
-
-
-def quadratic_loss(y_hat: float, y: float) -> float:
-    """Squared error between a prediction and a response."""
-    if not (np.isfinite(y_hat) and np.isfinite(y)):
-        raise NumericError(f"quadratic_loss got non-finite input ({y_hat}, {y})")
-    d = float(y_hat) - float(y)
-    return d * d
-
-
-def multinomial_predict(x: np.ndarray, b: np.ndarray, n_classes: int) -> np.ndarray:
-    """Class probabilities of the multinomial logistic model ``b`` at ``x``.
-
-    ``b`` concatenates one coefficient block of ``len(x)`` per non-reference
-    class; the last class is the reference with an implicit zero logit.  The
-    maximum logit is subtracted before exponentiation so large coefficients
-    cannot overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = x.shape[0]
-    if b.shape != ((n_classes - 1) * m,):
-        raise ShapeError("coefficient length does not match class count",
-                         expected=(n_classes - 1) * m, got=b.shape[0])
-    logits = np.concatenate([b.reshape(n_classes - 1, m) @ x, [0.0]])
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
-    """Squared Hellinger distance between two discrete distributions.
-
-    Symmetric, bounded in [0, 1], and tolerant of exact-zero components.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ShapeError("distributions have different lengths",
-                         expected=p.shape, got=q.shape)
-    if (p < 0).any() or (q < 0).any():
-        raise DataError("hellinger_sq requires nonnegative components")
-    for name, v in (("first", p), ("second", q)):
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise DataError(
-                f"{name} argument of hellinger_sq is not a probability "
-                f"vector (sum {v.sum()!r})"
-            )
-    return float(min(1.0, max(0.0, 1.0 - np.sqrt(p * q).sum())))
 
 
 def logit_transform(y1):

@@ -135,16 +135,44 @@ def softmax_weights(D: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_shapes(B, X, Y, task: TaskKind):
-    n_pts, n_cols = X.shape
-    q = task.coef_len(n_cols)
+def _as_problem(task: TaskKind, X, Y, B, Z=None, d=None, Z_old=None):
+    """``(X, Y, B, Z, Z_old)`` as float64 arrays, a 1-D response as one
+    column and Z C-contiguous, or a ShapeError on any disagreement.
+
+    Without ``Z``, B may have any number of rows.  With it, the items of
+    (X, Y) are the n_old frozen embedding rows ``Z_old`` (none by default)
+    followed by the k rows of (B, Z), and ``d``, if given, is Z's width.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    B = np.asarray(B, dtype=float)
+    if X.ndim != 2:
+        raise ShapeError("covariates must form a 2-D matrix", got=X.shape)
+    n, q = X.shape[0], task.coef_len(X.shape[1])
     if B.ndim != 2 or B.shape[1] != q:
         raise ShapeError("coefficient matrix width does not match task",
                          expected=q, got=B.shape)
-    p = task.response_dim()
-    if Y.shape != (n_pts, p):
+    if Y.shape != (n, task.response_dim()):
         raise ShapeError("response matrix shape does not match task",
-                         expected=(n_pts, p), got=Y.shape)
+                         expected=(n, task.response_dim()), got=Y.shape)
+    if Z is None:
+        return X, Y, B, None, None
+    Z = np.ascontiguousarray(Z, dtype=float)
+    if d is None and Z.ndim == 2:
+        d = Z.shape[1]
+    if Z.shape != (B.shape[0], d):
+        raise ShapeError("embedding does not match the model rows and "
+                         "width", expected=(B.shape[0], d), got=Z.shape)
+    Z_old = Z[:0] if Z_old is None else np.asarray(Z_old, dtype=float)
+    if Z_old.ndim != 2 or Z_old.shape[1] != d:
+        raise ShapeError("frozen embedding width does not match", expected=d,
+                         got=Z_old.shape)
+    if n != Z_old.shape[0] + B.shape[0]:
+        raise ShapeError("item count does not match frozen plus optimized "
+                         "rows", expected=Z_old.shape[0] + B.shape[0], got=n)
+    return X, Y, B, Z, Z_old
 
 
 def _local_losses(B, X, Y, task: TaskKind, work: Workspace):
@@ -194,12 +222,7 @@ def local_loss_matrix(B: np.ndarray, X: np.ndarray, Y: np.ndarray,
     have a different number of rows than ``X`` (e.g. a single global model
     against all items).
     """
-    B = np.asarray(B, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    _check_shapes(B, X, Y, task)
+    X, Y, B, _, _ = _as_problem(task, X, Y, B)
     return _local_losses(B, X, Y, task, Workspace())[0]
 
 
@@ -234,9 +257,6 @@ def _forward(X, Y, B, Z, Z_old, task: TaskKind, work: Workspace):
     """
     k, n_old = B.shape[0], Z_old.shape[0]
     N = n_old + k
-    if X.shape[0] != N:
-        raise ShapeError("item count does not match frozen plus optimized "
-                         "rows", expected=N, got=X.shape[0])
     Z_all = np.concatenate([Z_old, Z]) if n_old else Z
     D = work.buffer("D", (k, N))
     W = work.buffer("W", (k, N))
@@ -306,23 +326,10 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     return total, gB, gZ
 
 
-def _as_problem(X, Y, B, Z):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    return X, Y, np.asarray(B, dtype=float), \
-        np.ascontiguousarray(Z, dtype=float)
-
-
 def loss_state(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> LossState:
     """Evaluate the full loss and return all intermediates."""
-    X, Y, B, Z = _as_problem(X, Y, B, Z)
-    _check_shapes(B, X, Y, task)
-    if B.shape[0] != Z.shape[0] or Z.shape[1] != hp.d:
-        raise ShapeError("B and Z row counts (or Z width) disagree",
-                         expected=(B.shape[0], hp.d), got=Z.shape)
-    S, _, D, W, L, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
+    S, _, D, W, L, _ = _forward(X, Y, B, Z, Z_old, task, Workspace())
     return LossState(D=D, W=W, L=L, total=_total(S, B, Z, hp, "total loss"))
 
 
@@ -338,9 +345,8 @@ def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
     ``work`` lends the evaluation its buffers; pass the same Workspace to
     every evaluation of a solve.  The gradients are always fresh arrays.
     """
-    X, Y, B, Z = _as_problem(X, Y, B, Z)
-    _check_shapes(B, X, Y, task)
-    return _evaluate(X, Y, B, Z, Z[:0], hp, task, work, "total loss")
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
+    return _evaluate(X, Y, B, Z, Z_old, hp, task, work, "total loss")
 
 
 def loss_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
@@ -362,10 +368,9 @@ def added_loss_and_gradients(X_all, Y_all, B_old, Z_old, B_new, Z_new,
     copies.  Gradients are with respect to the appended (B, Z) only.
     ``work`` is as in :func:`loss_and_gradients`.
     """
-    X_all, Y_all, B_new, Z_new = _as_problem(X_all, Y_all, B_new, Z_new)
-    _check_shapes(B_new, X_all, Y_all, task)
-    return _evaluate(X_all, Y_all, B_new, Z_new,
-                     np.asarray(Z_old, dtype=float), hp, task, work,
+    X_all, Y_all, B_new, Z_new, Z_old = _as_problem(
+        task, X_all, Y_all, B_new, Z_new, hp.d, Z_old)
+    return _evaluate(X_all, Y_all, B_new, Z_new, Z_old, hp, task, work,
                      "appended-row loss")
 
 
@@ -377,9 +382,7 @@ def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
     With ``Z_old`` the rows (B, Z) are appended after frozen embedding rows
     ``Z_old``, and (X, Y) hold the items of all rows, old ones first.
     """
-    X, Y, B, Z = _as_problem(X, Y, B, Z)
-    _check_shapes(B, X, Y, task)
-    Z_old = Z[:0] if Z_old is None else np.asarray(Z_old, dtype=float)
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d, Z_old)
     S = _forward(X, Y, B, Z, Z_old, task,
                  Workspace() if work is None else work)[0]
     return S + hp.lambda_z * (Z * Z).sum(axis=1) \
@@ -388,7 +391,7 @@ def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
 
 def pointwise_losses(b: np.ndarray, X, Y, task: TaskKind) -> np.ndarray:
     """Losses of a single model ``b`` on every data item (length-n vector)."""
-    return local_loss_matrix(np.asarray(b, dtype=float)[None, :], X, Y, task)[0]
+    return local_loss_matrix([b], X, Y, task)[0]
 
 
 def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,
@@ -399,13 +402,8 @@ def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,
     losses as the main problem but with uniform weights instead of the
     softmax neighbourhood.
     """
-    b = np.asarray(b, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    B = b[None, :]
-    _check_shapes(B, X, Y, task)
+    X, Y, B, _, _ = _as_problem(task, X, Y, [b])
+    b = B[0]
     work = Workspace()
     L, cache = _local_losses(B, X, Y, task, work)
     f = float(L.sum()) + lambda_lasso * float(np.abs(b).sum())

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lbfgs
-from .errors import NumericError, ShapeError, SlisemapError
+from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import (Hyperparams, Workspace, added_loss_and_gradients,
-                        loss_and_gradients, local_loss_matrix,
-                        pairwise_distances, row_contributions,
-                        softmax_weights, total_loss)
+from .objective import (Hyperparams, Workspace, _as_problem,
+                        added_loss_and_gradients, local_loss_matrix,
+                        loss_and_gradients, pairwise_distances,
+                        row_contributions, softmax_weights, total_loss)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class Solution:
     ran on; ``Y`` is the response matrix on the training scale (logit scale
     for the binary-logit task).  ``column_names`` and ``normalization``
     describe the raw features so held-out points can be mapped into the
-    same basis.
+    same basis.  The arrays are converted and shape-checked on
+    construction, so a mismatched (X, Y, B, Z) raises a ShapeError.
     """
 
     X: np.ndarray
@@ -70,6 +71,10 @@ class Solution:
     target_names: list[str] = field(default_factory=lambda: ["y"])
     loss_history: list[float] = field(default_factory=list)
     numeric_warning: bool = False
+
+    def __post_init__(self):
+        self.X, self.Y, self.B, self.Z, _ = _as_problem(
+            self.task, self.X, self.Y, self.B, self.Z, self.hyperparams.d)
 
     @property
     def n(self) -> int:
@@ -106,30 +111,47 @@ class Solution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Solution":
-        task = TaskKind.from_string(doc["task"])
-        hp = Hyperparams(lambda_z=doc["lambda_z"],
-                         lambda_lasso=doc["lambda_lasso"], d=doc["d"])
-        sol = cls(
-            X=np.asarray(doc["X"], dtype=float),
-            Y=np.asarray(doc["Y"], dtype=float),
-            B=np.asarray(doc["B"], dtype=float),
-            Z=np.asarray(doc["Z"], dtype=float),
-            hyperparams=hp,
-            task=task,
-            final_loss=float(doc["final_loss"]),
-            outer_iters_used=int(doc.get("outer_iters_used", 0)),
-            seed=int(doc["seed"]),
-            column_names=list(doc["column_names"]),
-            normalization_mean=np.asarray(doc["normalization"]["mean"], dtype=float),
-            normalization_std=np.asarray(doc["normalization"]["std"], dtype=float),
-            target_names=list(doc.get("target_names", ["y"])),
-        )
-        return sol
+        """The solution a :meth:`to_json_dict` document describes; a
+        missing key or a malformed value raises a DataError naming it, and
+        mismatched arrays a ShapeError."""
+        try:
+            task = TaskKind.from_string(doc["task"])
+            hp = Hyperparams(lambda_z=doc["lambda_z"],
+                             lambda_lasso=doc["lambda_lasso"], d=doc["d"])
+            return cls(
+                X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
+                hyperparams=hp,
+                task=task,
+                final_loss=float(doc["final_loss"]),
+                outer_iters_used=int(doc.get("outer_iters_used", 0)),
+                seed=int(doc["seed"]),
+                column_names=list(doc["column_names"]),
+                normalization_mean=np.asarray(doc["normalization"]["mean"],
+                                              dtype=float),
+                normalization_std=np.asarray(doc["normalization"]["std"],
+                                             dtype=float),
+                target_names=list(doc.get("target_names", ["y"])),
+            )
+        except KeyError as exc:
+            raise DataError(f"solution has no {exc.args[0]!r} key") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"solution has a malformed value: {exc}") \
+                from None
 
     @classmethod
     def load(cls, path) -> "Solution":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        """Read a saved solution; a file that is not valid JSON or does not
+        describe a consistent solution raises a DataError naming it."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise DataError(f"{path}: not a solution JSON file: {exc}") \
+                from None
+        try:
+            return cls.from_json_dict(doc)
+        except SlisemapError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def pca_scores(X: np.ndarray, d: int) -> np.ndarray:
@@ -216,8 +238,7 @@ def escape(X, Y, B, Z, task: TaskKind):
     item simultaneously adopts (B, Z) of its argmin row, read from the
     original matrices.  Ties go to the smallest row index.
     """
-    B = np.asarray(B, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    X, Y, B, Z, _ = _as_problem(task, X, Y, B, Z)
     ks = _best_rows(softmax_weights(pairwise_distances(Z)), B, X, Y, task)
     return B[ks].copy(), Z[ks].copy()
 

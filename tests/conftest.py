@@ -1,8 +1,10 @@
-"""Shared test helpers: independent scalar-loop reimplementations of the
-loss (used as oracles) and random problem-instance generators.
+"""Shared test helpers: independent scalar reimplementations of the loss
+(used as oracles) and random problem-instance generators.
 
-The oracles deliberately avoid the vectorized code paths under test: plain
-Python loops over ``math`` functions only.
+The oracles deliberately avoid the vectorized code paths under test: the
+single-vector model helpers (``linear_predict`` to ``hellinger_sq``) use
+small numpy vector operations, the rest plain Python loops over ``math``
+functions only.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from slisemap.errors import DataError, NumericError, ShapeError
 from slisemap.model import TaskKind
 from slisemap.objective import Hyperparams
 
@@ -20,6 +23,68 @@ from slisemap.objective import Hyperparams
 settings.register_profile("slisemap", derandomize=True, max_examples=40,
                           deadline=None, database=None)
 settings.load_profile("slisemap")
+
+
+def linear_predict(x: np.ndarray, b: np.ndarray) -> float:
+    """Prediction of the linear model ``b`` on covariate vector ``x``.
+
+    ``x`` is expected to already carry its intercept entry.
+    """
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if x.shape != b.shape or x.ndim != 1:
+        raise ShapeError("covariate and coefficient lengths differ",
+                         expected=x.shape, got=b.shape)
+    return float(x @ b)
+
+
+def quadratic_loss(y_hat: float, y: float) -> float:
+    """Squared error between a prediction and a response."""
+    if not (np.isfinite(y_hat) and np.isfinite(y)):
+        raise NumericError(f"quadratic_loss got non-finite input ({y_hat}, {y})")
+    d = float(y_hat) - float(y)
+    return d * d
+
+
+def multinomial_predict(x: np.ndarray, b: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class probabilities of the multinomial logistic model ``b`` at ``x``.
+
+    ``b`` concatenates one coefficient block of ``len(x)`` per non-reference
+    class; the last class is the reference with an implicit zero logit.  The
+    maximum logit is subtracted before exponentiation so large coefficients
+    cannot overflow.
+    """
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = x.shape[0]
+    if b.shape != ((n_classes - 1) * m,):
+        raise ShapeError("coefficient length does not match class count",
+                         expected=(n_classes - 1) * m, got=b.shape[0])
+    logits = np.concatenate([b.reshape(n_classes - 1, m) @ x, [0.0]])
+    logits -= logits.max()
+    e = np.exp(logits)
+    return e / e.sum()
+
+
+def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
+    """Squared Hellinger distance between two discrete distributions.
+
+    Symmetric, bounded in [0, 1], and tolerant of exact-zero components.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ShapeError("distributions have different lengths",
+                         expected=p.shape, got=q.shape)
+    if (p < 0).any() or (q < 0).any():
+        raise DataError("hellinger_sq requires nonnegative components")
+    for name, v in (("first", p), ("second", q)):
+        if abs(v.sum() - 1.0) > 1e-9:
+            raise DataError(
+                f"{name} argument of hellinger_sq is not a probability "
+                f"vector (sum {v.sum()!r})"
+            )
+    return float(min(1.0, max(0.0, 1.0 - np.sqrt(p * q).sum())))
 
 
 def scalar_point_loss(b, x, y, task: TaskKind) -> float:

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (central_difference, max_grad_error, random_instance,
-                      scalar_row_contribution, scalar_total_loss)
+from conftest import (central_difference, hellinger_sq, max_grad_error,
+                      random_instance, scalar_row_contribution,
+                      scalar_total_loss)
 from slisemap.cli import main as cli_main
 from slisemap.data import RsynthSpec, generate_rsynth
 from slisemap.metrics import (cluster_purity, coverage, fidelity,
                               fit_global_model, loss_threshold)
-from slisemap.model import TaskKind, hellinger_sq
+from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, local_loss_matrix,
                                 loss_and_gradients, pairwise_distances,
                                 pointwise_losses, softmax_weights, total_loss)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from slisemap import solver
 from slisemap.cli import main
 from slisemap.solver import Solution
 
@@ -203,6 +205,23 @@ class TestMetrics:
         assert rc == 3
         assert "quantile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda doc: "{" + json.dumps(doc)[:200], "sol.json"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "Y"}),
+         "'Y'"),
+        (lambda doc: json.dumps({**doc, "B": doc["B"][:-3]}), "embedding"),
+    ], ids=["invalid-json", "missing-key", "truncated-B"])
+    def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
+                                            capsys, corrupt, named):
+        _, _, sol_path = workspace
+        bad = tmp_path / "sol.json"
+        bad.write_text(corrupt(json.loads(sol_path.read_text())))
+        rc = main(["metrics", "--solution", str(bad),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and named in err
+
     def test_labels_length_mismatch(self, workspace, tmp_path):
         _, _, sol_path = workspace
         bad = tmp_path / "lab.csv"
@@ -237,6 +256,19 @@ class TestSweep:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 3
         assert "quantile" in capsys.readouterr().err
+
+    def test_quantile_checked_before_any_fit(self, workspace, tmp_path,
+                                             monkeypatch):
+        _, gen, _ = workspace
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("sweep fitted before checking --quantile")
+
+        monkeypatch.setattr(solver, "fit", no_fit)
+        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                   "--lambda-z", "0.1", "--quantile", "2",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
 
 
 class TestPlot:
@@ -431,3 +463,25 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_thread_cap_set_before_numpy_import(self):
+        """SLISEMAP_THREADS reaches the BLAS variables before numpy is
+        first imported, which is when OpenBLAS reads them."""
+        spy = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import slisemap.cli\n"
+            "print(seen)\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env["SLISEMAP_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", spy], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['1']"

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (hellinger_sq, linear_predict, multinomial_predict,
+                      quadratic_loss)
 from slisemap.errors import DataError, NumericError, ShapeError
-from slisemap.model import (TaskKind, hellinger_sq, linear_predict,
-                            logit_transform, multinomial_predict,
-                            quadratic_loss)
+from slisemap.model import TaskKind, logit_transform
 
 
 class TestTaskKind:

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (central_difference, max_grad_error, random_instance,
-                      scalar_total_loss)
+from conftest import (central_difference, hellinger_sq, linear_predict,
+                      max_grad_error, multinomial_predict, quadratic_loss,
+                      random_instance, scalar_total_loss)
 from slisemap.errors import NumericError, ShapeError
-from slisemap.model import TaskKind, hellinger_sq, linear_predict, \
-    multinomial_predict, quadratic_loss
+from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, Workspace,
                                 added_loss_and_gradients, local_loss_matrix,
                                 loss_and_gradients, loss_gradients,
                                 loss_state, pairwise_distances,
-                                row_contributions, softmax_weights,
-                                total_loss)
+                                pointwise_losses, row_contributions,
+                                softmax_weights, total_loss,
+                                uniform_loss_and_grad)
+from slisemap.solver import escape
 
 REG = TaskKind.regression()
 
@@ -388,3 +390,60 @@ class TestRowContributions:
         np.testing.assert_allclose(appended, whole[6:], rtol=1e-12)
         assert abs(whole.sum() - total_loss(X, Y, B, Z, hp, task)) \
             < 1e-10 * (1.0 + abs(whole.sum()))
+
+
+# Each entry point as a call on (X, Y, B, Z, Z_old, hp): n = 5 items, of
+# which the appended-row entry points take the last k = 3 as (B, Z) after
+# n_old = 2 frozen rows Z_old; the others take all five as (B, Z).
+ENTRY_POINTS = {
+    "local_loss_matrix": lambda X, Y, B, Z, Z_old, hp:
+        local_loss_matrix(B, X, Y, REG),
+    "pointwise_losses": lambda X, Y, B, Z, Z_old, hp:
+        pointwise_losses(B[0], X, Y, REG),
+    "uniform_loss_and_grad": lambda X, Y, B, Z, Z_old, hp:
+        uniform_loss_and_grad(B[0], X, Y, REG, 1e-4),
+    "total_loss": lambda X, Y, B, Z, Z_old, hp:
+        total_loss(X, Y, B, Z, hp, REG),
+    "loss_state": lambda X, Y, B, Z, Z_old, hp:
+        loss_state(X, Y, B, Z, hp, REG),
+    "loss_and_gradients": lambda X, Y, B, Z, Z_old, hp:
+        loss_and_gradients(X, Y, B, Z, hp, REG),
+    "row_contributions": lambda X, Y, B, Z, Z_old, hp:
+        row_contributions(X, Y, B, Z, hp, REG),
+    "escape": lambda X, Y, B, Z, Z_old, hp: escape(X, Y, B, Z, REG),
+    "added_loss_and_gradients": lambda X, Y, B, Z, Z_old, hp:
+        added_loss_and_gradients(X, Y, None, Z_old, B, Z, hp, REG),
+    "row_contributions_appended": lambda X, Y, B, Z, Z_old, hp:
+        row_contributions(X, Y, B, Z, hp, REG, Z_old=Z_old),
+}
+APPENDED = ("added_loss_and_gradients", "row_contributions_appended")
+MISMATCHES = {
+    "X_not_a_matrix": lambda p: {**p, "X": p["X"][:, 0]},
+    "B_width": lambda p: {**p, "B": p["B"][:, :-1]},
+    "Y_shape": lambda p: {**p, "Y": p["Y"][:-1]},
+    "Z_rows": lambda p: {**p, "Z": p["Z"][:-1]},
+    "Z_width": lambda p: {**p, "Z": np.hstack([p["Z"], p["Z"][:, :1]])},
+    "Z_old_width": lambda p: {**p, "Z_old": p["Z_old"][:, :1]},
+    "item_count": lambda p: {**p, "X": p["X"][:-1], "Y": p["Y"][:-1]},
+}
+
+
+def _applies(entry, mismatch):
+    if entry in ("local_loss_matrix", "pointwise_losses",
+                 "uniform_loss_and_grad"):  # no embedding: any B rows
+        return mismatch in ("X_not_a_matrix", "B_width", "Y_shape")
+    if entry == "escape":  # no hp: Z may have any width
+        return mismatch not in ("Z_width", "Z_old_width")
+    return entry in APPENDED or mismatch != "Z_old_width"
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("entry, mismatch", [
+        (e, m) for e in ENTRY_POINTS for m in MISMATCHES if _applies(e, m)])
+    def test_mismatch_raises_shape_error(self, entry, mismatch, rng):
+        X, Y, B, Z, hp = random_instance(REG, 5, 3, 2, rng)
+        k = 3 if entry in APPENDED else 5
+        problem = dict(X=X, Y=Y, B=B[-k:], Z=Z[-k:], Z_old=Z[:5 - k], hp=hp)
+        ENTRY_POINTS[entry](**problem)  # the unchanged problem is valid
+        with pytest.raises(ShapeError):
+            ENTRY_POINTS[entry](**MISMATCHES[mismatch](problem))
