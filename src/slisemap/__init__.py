@@ -23,8 +23,7 @@ from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .metrics import MetricReport, cluster_purity, compute_report, coverage, \
     fidelity, fit_global_model, loss_threshold
 from .model import TaskKind
-from .objective import Hyperparams, LossState, loss_gradients, loss_state, \
-    total_loss
+from .objective import Hyperparams, total_loss
 from .solver import Solution, SolverConfig, add_new, escape, fit
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
     "normalize", "subsample", "DataError", "NumericError", "ShapeError",
     "SlisemapError", "MetricReport", "cluster_purity", "compute_report",
     "coverage", "fidelity", "fit_global_model", "loss_threshold", "TaskKind",
-    "Hyperparams", "LossState", "loss_gradients", "loss_state", "total_loss",
+    "Hyperparams", "total_loss",
     "Solution", "SolverConfig", "add_new", "escape", "fit",
 ]
 

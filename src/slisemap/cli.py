@@ -116,8 +116,7 @@ def _fit_dataset(ds: datamod.Dataset, task: TaskKind, hp: Hyperparams,
     Y_train = datamod.training_response(ds.Y, task)
     return solvermod.fit(ds.X, Y_train, hp, task, config,
                          column_names=ds.column_names,
-                         normalization=(ds.normalization.mean,
-                                        ds.normalization.std),
+                         normalization=ds.normalization,
                          target_names=ds.target_names)
 
 
@@ -193,10 +192,7 @@ def cmd_add(args) -> int:
             f"covariate columns {ds.column_names} do not match the "
             f"solution's {sol.column_names}")
     order = [ds.column_names.index(c) for c in sol.column_names]
-    X_raw = ds.X_raw[:, order]
-    norm = datamod.Normalization(mean=sol.normalization_mean,
-                                 std=sol.normalization_std)
-    X_new = datamod.apply_normalization(X_raw, norm)
+    X_new = datamod.apply_normalization(ds.X_raw[:, order], sol.normalization)
     Y_new = datamod.training_response(ds.Y, sol.task)
     config = solvermod.SolverConfig(seed=sol.seed)
     B_new, Z_new, losses = solvermod.add_new(sol, X_new, Y_new, config,

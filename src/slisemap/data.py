@@ -66,10 +66,6 @@ class Dataset:
     def n(self) -> int:
         return self.X_raw.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.X_raw.shape[1]
-
 
 def normalize(X_raw: np.ndarray):
     """Standardize columns to zero mean / unit variance and append an
@@ -250,10 +246,6 @@ def load_csv(path, target_columns, task: TaskKind, *,
                    labels=labels)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
     """Write a numeric table with full binary64 round-trip precision."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -261,25 +253,7 @@ def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def export_dataset(ds: Dataset, path, sidecar_path=None) -> None:
-    """Write a dataset back to CSV, mirroring the input format, plus a
-    sidecar JSON with the normalization constants."""
-    import json
-
-    header = ds.column_names + ds.target_names
-    rows = np.hstack([ds.X_raw, ds.Y])
-    write_csv(path, header, rows)
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".normalization.json"
-    doc = {"columns": ds.column_names,
-           "mean": ds.normalization.mean.tolist(),
-           "std": ds.normalization.std.tolist()}
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def subsample(ds: Dataset, n0: int, seed: int) -> Dataset:

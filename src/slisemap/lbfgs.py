@@ -5,10 +5,10 @@ the search direction, bracketing + zoom line search with cubic
 interpolation enforcing the strong Wolfe conditions (c1 = 1e-4, c2 = 0.9),
 and curvature-guarded history updates.
 
-Termination: gradient sup-norm below ``grad_tol``, relative loss
-improvement below ``rel_tol``, the iteration cap, or a failed line search.
-A failed line search is not an error; the best point seen so far is
-returned and the caller keeps going.
+Termination, named by ``MinimizeResult.reason``: gradient sup-norm below
+``_GRAD_TOL``, relative loss improvement below ``rel_tol``, the iteration
+cap, or a failed line search.  A failed line search is not an error; the
+best point seen so far is returned and the caller keeps going.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import numpy as np
 
 _C1 = 1e-4
 _C2 = 0.9
+_GRAD_TOL = 1e-9
+_MAX_LS_EVALS = 30  # objective evaluations per line search
 
 
 @dataclass
 class MinimizeResult:
     x: np.ndarray
     fun: float
-    grad: np.ndarray
     n_iters: int
     n_evals: int
-    converged: bool
     reason: str
 
 
@@ -66,7 +66,7 @@ class _Tracker:
             self.alpha, self.f, self.g = alpha, f, g
 
 
-def _strong_wolfe(fg, x, p, f0, g0, alpha0, max_evals=30):
+def _strong_wolfe(fg, x, p, f0, g0, alpha0):
     """Find a step along ``p`` satisfying the strong Wolfe conditions.
 
     Returns (alpha, f, g, n_evals, ok).  On failure ok is False and the
@@ -90,7 +90,7 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0, max_evals=30):
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
         # Invariant: lo satisfies the sufficient-decrease condition and has
         # the lowest such value; the minimizer lies between lo and hi.
-        for _ in range(max_evals - evals):
+        for _ in range(_MAX_LS_EVALS - evals):
             a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
             span = abs(hi - lo)
             left, right = min(lo, hi), max(lo, hi)
@@ -113,7 +113,7 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0, max_evals=30):
     prev_a, prev_f, prev_d = 0.0, phi0, dphi0
     a = alpha0
     first = True
-    while evals < max_evals:
+    while evals < _MAX_LS_EVALS:
         f, g = phi(a)
         d = float(g @ p)
         if not np.isfinite(f) or f > phi0 + _C1 * a * dphi0 or (f >= prev_f and not first):
@@ -154,8 +154,8 @@ def _two_loop(g, s_list, y_list, rho_list, gamma):
     return q
 
 
-def minimize(fun_and_grad, x0, *, history=10, max_iters=500, rel_tol=1e-6,
-             grad_tol=1e-9, max_ls_evals=30) -> MinimizeResult:
+def minimize(fun_and_grad, x0, *, history=10, max_iters=500,
+             rel_tol=1e-6) -> MinimizeResult:
     """Minimize ``fun_and_grad`` starting from ``x0``.
 
     ``fun_and_grad(x)`` must return ``(float, ndarray)``.  The returned
@@ -164,18 +164,17 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500, rel_tol=1e-6,
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_and_grad(x)
     n_evals = 1
-    best_x, best_f, best_g = x.copy(), f, g
+    best_x, best_f = x.copy(), f
     s_list, y_list, rho_list = [], [], []
     gamma = 1.0
     reason = "max-iters"
-    converged = False
     stalls = 0
     it = 0
 
     while it < max_iters:
         gnorm = float(np.abs(g).max(initial=0.0))
-        if gnorm < grad_tol:
-            reason, converged = "gradient", True
+        if gnorm < _GRAD_TOL:
+            reason = "gradient"
             break
         it += 1
         p = _two_loop(g, s_list, y_list, rho_list, gamma)
@@ -191,7 +190,7 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500, rel_tol=1e-6,
         else:
             alpha0 = min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
         a, f_new, g_new, evals, ok = _strong_wolfe(
-            fun_and_grad, x, p, f, g, alpha0, max_ls_evals)
+            fun_and_grad, x, p, f, g, alpha0)
         n_evals += evals
         if not ok and (f_new >= f or a == 0.0):
             reason = "line-search"
@@ -213,7 +212,7 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500, rel_tol=1e-6,
         stall_bar = rel_tol * max(abs(f), abs(f_new), 1.0)
         f, g = f_new, g_new
         if f < best_f:
-            best_x, best_f, best_g = x.copy(), f, g
+            best_x, best_f = x.copy(), f
         if not ok:
             reason = "line-search"
             break
@@ -223,10 +222,10 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500, rel_tol=1e-6,
         if improvement <= stall_bar:
             stalls += 1
             if stalls >= 2:
-                reason, converged = "f-rel", True
+                reason = "f-rel"
                 break
         else:
             stalls = 0
 
-    return MinimizeResult(x=best_x, fun=best_f, grad=best_g, n_iters=it,
-                          n_evals=n_evals, converged=converged, reason=reason)
+    return MinimizeResult(x=best_x, fun=best_f, n_iters=it, n_evals=n_evals,
+                          reason=reason)

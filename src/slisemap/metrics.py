@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import lbfgs
+from . import lbfgs, objective
 from .errors import ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import local_loss_matrix, pairwise_distances, pointwise_losses, \
+from .objective import local_loss_matrix, pairwise_distances, \
     uniform_loss_and_grad
 from .solver import Solution, SolverConfig
 
@@ -37,7 +37,7 @@ class MetricReport:
     purity_knn: Optional[dict[int, float]] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "fidelity_point": self.fidelity_point,
             "fidelity_knn": {str(k): v for k, v in self.fidelity_knn.items()},
             "coverage_full": self.coverage_full,
@@ -46,7 +46,6 @@ class MetricReport:
             "purity_knn": None if self.purity_knn is None
             else {str(k): v for k, v in self.purity_knn.items()},
         }
-        return doc
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -81,7 +80,6 @@ def fit_global_model(X, Y, task: TaskKind, *, lambda_lasso: float = 1e-4,
     covariates (the penalty keeps the problem determined).
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         warnings.warn("covariate matrix is rank deficient; the penalized "
                       "solution is returned")
@@ -194,8 +192,9 @@ def compute_report(sol: Solution, ks, labels=None, quantile: float = 0.3,
     b_global = fit_global_model(sol.X, sol.Y, sol.task,
                                 lambda_lasso=sol.hyperparams.lambda_lasso,
                                 config=config)
-    l0 = loss_threshold(pointwise_losses(b_global, sol.X, sol.Y, sol.task),
-                        quantile)
+    # via objective, so that metrics.local_loss_matrix counts n x n builds only
+    l0 = loss_threshold(objective.local_loss_matrix(
+        b_global[None], sol.X, sol.Y, sol.task)[0], quantile)
     _check_threshold(l0)
     L = local_loss_matrix(sol.B, sol.X, sol.Y, sol.task)
     hit = L < l0

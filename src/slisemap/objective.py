@@ -57,16 +57,6 @@ class Hyperparams:
             raise ValueError(f"embedding dimension must be >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
-class LossState:
-    """All intermediates of one loss evaluation."""
-
-    D: np.ndarray  # pairwise embedding distances, n x n
-    W: np.ndarray  # row-stochastic softmax weights, n x n
-    L: np.ndarray  # pairwise local-model losses, n x n
-    total: float
-
-
 class Workspace:
     """Buffers that successive loss evaluations of one solve reuse.
 
@@ -123,16 +113,21 @@ def pairwise_distances(Z: np.ndarray) -> np.ndarray:
     return D
 
 
+def _softmax_into(W, D) -> np.ndarray:
+    """Row-softmax of ``-D``, written to and returned in ``W``."""
+    np.negative(D, out=W)
+    np.exp(W, out=W)
+    W /= W.sum(axis=1, keepdims=True)
+    return W
+
+
 def softmax_weights(D: np.ndarray) -> np.ndarray:
     """Row-softmax of ``-D``: each row of the result sums to one.
 
-    The row maximum is subtracted before exponentiation.  With a zero
-    diagonal the maximum of ``-D`` is 0, so this is a no-op for genuine
-    distance matrices, but it keeps the routine safe for arbitrary input.
+    ``D`` must be a distance matrix: non-negative, with a zero diagonal.
+    Each row's largest exponent is then 0, so no shift is needed.
     """
-    D = np.asarray(D, dtype=float)
-    e = np.exp(-(D - D.min(axis=1, keepdims=True)))
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_into(np.empty(np.shape(D)), np.asarray(D, dtype=float))
 
 
 def _as_problem(task: TaskKind, X, Y, B, Z=None, d=None, Z_old=None):
@@ -261,9 +256,7 @@ def _forward(X, Y, B, Z, Z_old, task: TaskKind, work: Workspace):
     D = work.buffer("D", (k, N))
     W = work.buffer("W", (k, N))
     _distances_into(D, Z, Z_all, n_old, W)
-    np.negative(D, out=W)
-    np.exp(W, out=W)
-    W /= W.sum(axis=1, keepdims=True)
+    _softmax_into(W, D)
     L, cache = _local_losses(B, X, Y, task, work)
     T = work.buffer("T", (k, N))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,16 +319,11 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     return total, gB, gZ
 
 
-def loss_state(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> LossState:
-    """Evaluate the full loss and return all intermediates."""
-    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
-    S, _, D, W, L, _ = _forward(X, Y, B, Z, Z_old, task, Workspace())
-    return LossState(D=D, W=W, L=L, total=_total(S, B, Z, hp, "total loss"))
-
-
 def total_loss(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> float:
     """Scalar value of the joint loss."""
-    return loss_state(X, Y, B, Z, hp, task).total
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
+    S = _forward(X, Y, B, Z, Z_old, task, Workspace())[0]
+    return _total(S, B, Z, hp, "total loss")
 
 
 def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
@@ -347,12 +335,6 @@ def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
     """
     X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
     return _evaluate(X, Y, B, Z, Z_old, hp, task, work, "total loss")
-
-
-def loss_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
-    """Analytic gradients of the joint loss with respect to B and Z."""
-    _, gB, gZ = loss_and_gradients(X, Y, B, Z, hp, task)
-    return gB, gZ
 
 
 def added_loss_and_gradients(X_all, Y_all, B_old, Z_old, B_new, Z_new,
@@ -387,11 +369,6 @@ def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
                  Workspace() if work is None else work)[0]
     return S + hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
-
-
-def pointwise_losses(b: np.ndarray, X, Y, task: TaskKind) -> np.ndarray:
-    """Losses of a single model ``b`` on every data item (length-n vector)."""
-    return local_loss_matrix([b], X, Y, task)[0]
 
 
 def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,

@@ -21,6 +21,7 @@ _GRADIENT = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98),
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 48
+_KMEANS_MAX_ITERS = 100
 
 
 def _f(v: float) -> str:
@@ -38,7 +39,7 @@ def gradient_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def kmeans(X: np.ndarray, k: int, seed: int, max_iters: int = 100):
+def kmeans(X: np.ndarray, k: int, seed: int):
     """Plain Lloyd iterations with seeded random-row initialization.
 
     Returns ``(centroids, assignment)``.  Empty clusters keep their
@@ -50,7 +51,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iters: int = 100):
     rng = np.random.default_rng(seed)
     centroids = X[rng.choice(n, size=k, replace=False)].copy()
     assign = np.zeros(n, dtype=int)
-    for it in range(max_iters):
+    for it in range(_KMEANS_MAX_ITERS):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         if it > 0 and (new_assign == assign).all():

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lbfgs
+from .data import Normalization
 from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
 from .objective import (Hyperparams, Workspace, _as_problem,
@@ -50,10 +51,10 @@ class Solution:
 
     ``X`` is the normalized, intercept-augmented covariate matrix the fit
     ran on; ``Y`` is the response matrix on the training scale (logit scale
-    for the binary-logit task).  ``column_names`` and ``normalization``
-    describe the raw features so held-out points can be mapped into the
-    same basis.  The arrays are converted and shape-checked on
-    construction, so a mismatched (X, Y, B, Z) raises a ShapeError.
+    for the binary-logit task).  ``normalization`` maps raw features into
+    X's basis (``data.apply_normalization``).  Construction checks every
+    length and shape against (X, Y), raising a ShapeError, and rejects
+    non-finite entries with a DataError.
     """
 
     X: np.ndarray
@@ -66,8 +67,7 @@ class Solution:
     outer_iters_used: int
     seed: int
     column_names: list[str]
-    normalization_mean: np.ndarray
-    normalization_std: np.ndarray
+    normalization: Normalization
     target_names: list[str] = field(default_factory=lambda: ["y"])
     loss_history: list[float] = field(default_factory=list)
     numeric_warning: bool = False
@@ -75,6 +75,17 @@ class Solution:
     def __post_init__(self):
         self.X, self.Y, self.B, self.Z, _ = _as_problem(
             self.task, self.X, self.Y, self.B, self.Z, self.hyperparams.d)
+        m, norm = self.X.shape[1] - 1, self.normalization
+        want = (m, self.Y.shape[1], (m,), (m,))
+        got = (len(self.column_names), len(self.target_names),
+               np.shape(norm.mean), np.shape(norm.std))
+        if got != want:
+            raise ShapeError("column_names, target_names or normalization "
+                             "length does not match", expected=want, got=got)
+        for k, a in (("X", self.X), ("Y", self.Y), ("B", self.B),
+                     ("Z", self.Z), ("normalization", (norm.mean, norm.std))):
+            if not np.isfinite(a).all():
+                raise DataError(f"{k} has non-finite entries")
 
     @property
     def n(self) -> int:
@@ -92,8 +103,8 @@ class Solution:
             "column_names": list(self.column_names),
             "target_names": list(self.target_names),
             "normalization": {
-                "mean": self.normalization_mean.tolist(),
-                "std": self.normalization_std.tolist(),
+                "mean": self.normalization.mean.tolist(),
+                "std": self.normalization.std.tolist(),
             },
             "B": self.B.tolist(),
             "Z": self.Z.tolist(),
@@ -126,10 +137,9 @@ class Solution:
                 outer_iters_used=int(doc.get("outer_iters_used", 0)),
                 seed=int(doc["seed"]),
                 column_names=list(doc["column_names"]),
-                normalization_mean=np.asarray(doc["normalization"]["mean"],
-                                              dtype=float),
-                normalization_std=np.asarray(doc["normalization"]["std"],
-                                             dtype=float),
+                normalization=Normalization(
+                    mean=np.asarray(doc["normalization"]["mean"], dtype=float),
+                    std=np.asarray(doc["normalization"]["std"], dtype=float)),
                 target_names=list(doc.get("target_names", ["y"])),
             )
         except KeyError as exc:
@@ -198,8 +208,6 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
     are flattened into one parameter vector for the quasi-Newton core;
     ``hp.lambda_z`` sets the scale of its embedding block.
     """
-    B0 = np.asarray(B0, dtype=float)
-    Z0 = np.asarray(Z0, dtype=float)
     nb = B0.size
     # Large lambda_z makes the embedding block of the Hessian (about
     # 2*lambda_z) vastly stiffer than the model block; optimizing the
@@ -249,7 +257,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     """Run the full pipeline: init, minimize, escape/minimize until the
     loss stops improving, and return the best state ever observed.
 
-    ``column_names`` and ``normalization`` (a ``(mean, std)`` pair) are
+    ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
     when fitting plain matrices.
     """
@@ -266,10 +274,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         target_names = [f"y{i + 1}" for i in range(Y.shape[1])] \
             if Y.shape[1] > 1 else ["y"]
     if normalization is None:
-        mean = np.zeros(n_cols - 1)
-        std = np.ones(n_cols - 1)
-    else:
-        mean, std = (np.asarray(v, dtype=float) for v in normalization)
+        normalization = Normalization(mean=np.zeros(n_cols - 1),
+                                      std=np.ones(n_cols - 1))
 
     B, Z = init(X, Y, hp, task, config.seed)
     f0 = total_loss(X, Y, B, Z, hp, task)  # raises NumericError if not finite
@@ -325,9 +331,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     return Solution(
         X=X, Y=Y, B=best_B, Z=best_Z, hyperparams=hp, task=task,
         final_loss=best_f, outer_iters_used=outer, seed=config.seed,
-        column_names=list(column_names),
-        normalization_mean=np.asarray(mean, dtype=float),
-        normalization_std=np.asarray(std, dtype=float),
+        column_names=list(column_names), normalization=normalization,
         target_names=list(target_names),
         loss_history=history, numeric_warning=numeric_warning)
 
@@ -368,17 +372,8 @@ def add_new(sol: Solution, X_new, Y_new,
     solution; otherwise the whole batch is optimized jointly.  The stored
     solution is never mutated.
     """
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    Y_new = np.asarray(Y_new, dtype=float)
-    if Y_new.ndim == 1:
-        Y_new = Y_new[:, None]
-    if X_new.shape[1] != sol.X.shape[1]:
-        raise ShapeError("new covariates do not match the solution",
-                         expected=sol.X.shape[1], got=X_new.shape[1])
-    if Y_new.shape != (X_new.shape[0], sol.Y.shape[1]):
-        raise ShapeError("new responses do not match the solution",
-                         expected=(X_new.shape[0], sol.Y.shape[1]),
-                         got=Y_new.shape)
+    X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
+                                        Y_new, sol.B)
     W_old = softmax_weights(pairwise_distances(sol.Z))
     work = Workspace()
     if not one_by_one or X_new.shape[0] <= 1:

@@ -21,7 +21,7 @@ from slisemap.metrics import (cluster_purity, coverage, fidelity,
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, local_loss_matrix,
                                 loss_and_gradients, pairwise_distances,
-                                pointwise_losses, softmax_weights, total_loss)
+                                softmax_weights, total_loss)
 from slisemap.solver import (Solution, SolverConfig, add_new, fit,
                              pca_scores, row_contributions)
 
@@ -64,7 +64,7 @@ def medium_run():
     sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=LAMBDA_Z), REG,
               SolverConfig(seed=1))
     b_global = fit_global_model(ds.X, ds.Y, REG)
-    losses = pointwise_losses(b_global, ds.X, ds.Y, REG)
+    losses = local_loss_matrix(b_global[None], ds.X, ds.Y, REG)[0]
     return ds, sol, b_global, losses
 
 
@@ -115,8 +115,7 @@ def test_criterion_4_coverage_calibration(medium_run):
         X=ds.X, Y=ds.Y, B=np.tile(b_global, (n, 1)), Z=np.zeros((n, 2)),
         hyperparams=sol.hyperparams, task=REG, final_loss=0.0,
         outer_iters_used=0, seed=0, column_names=ds.column_names,
-        normalization_mean=ds.normalization.mean,
-        normalization_std=ds.normalization.std)
+        normalization=ds.normalization)
     cov_global = coverage(global_sol, l0)
     cov_knn = coverage(sol, l0, PURITY_K)
     ok = abs(cov_global - 0.300) <= 1.0 / n and cov_knn >= 0.35
@@ -216,11 +215,9 @@ def test_criterion_9_out_of_sample_soundness(small_runs):
     # fresh points: same generator seed continued to a larger n keeps the
     # generating coefficients; rows beyond the training block are unseen
     ds_big, _ = generate_rsynth(RsynthSpec(n=300, m=10, seed=1))
-    from slisemap.data import Normalization, apply_normalization
+    from slisemap.data import apply_normalization
 
-    norm = Normalization(mean=sol.normalization_mean,
-                         std=sol.normalization_std)
-    X_fresh = apply_normalization(ds_big.X_raw[200:], norm)
+    X_fresh = apply_normalization(ds_big.X_raw[200:], sol.normalization)
     Y_fresh = ds_big.Y[200:]
     _, _, fresh = add_new(sol, X_fresh, Y_fresh, SolverConfig(seed=1),
                           one_by_one=True)

@@ -210,7 +210,10 @@ class TestMetrics:
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "Y"}),
          "'Y'"),
         (lambda doc: json.dumps({**doc, "B": doc["B"][:-3]}), "embedding"),
-    ], ids=["invalid-json", "missing-key", "truncated-B"])
+        (lambda doc: json.dumps(
+            {**doc, "B": [[float("nan")] + doc["B"][0][1:]] + doc["B"][1:]}),
+         "B has non-finite entries"),
+    ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace
@@ -349,6 +352,20 @@ class TestExport:
         with open(out) as fh:
             header = next(csv.reader(fh))
         assert header == ["index", "x1", "x2", "x3", "x4", "intercept"]
+
+    def test_short_column_names_is_data_error(self, workspace, tmp_path,
+                                              capsys):
+        _, _, sol_path = workspace
+        doc = json.loads(sol_path.read_text())
+        bad = tmp_path / "sol.json"
+        bad.write_text(json.dumps(
+            {**doc, "column_names": doc["column_names"][:-1]}))
+        out = tmp_path / "e.csv"
+        rc = main(["export", "--solution", str(bad), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and "column_names" in err
+        assert not out.exists()
 
     def test_round_trip_full_precision(self, workspace, tmp_path):
         _, _, sol_path = workspace

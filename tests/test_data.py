@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from slisemap.data import (Dataset, Normalization, RsynthSpec,
-                           apply_normalization, export_dataset,
-                           generate_rsynth, load_csv, normalize, subsample,
-                           training_response, write_csv)
+                           apply_normalization, generate_rsynth, load_csv,
+                           normalize, subsample, training_response,
+                           write_csv)
 from slisemap.errors import DataError, ShapeError
 from slisemap.model import TaskKind
 
@@ -146,12 +146,12 @@ class TestLoadCsv:
     def test_round_trip_export_load(self, tmp_path, rng):
         ds, _ = generate_rsynth(RsynthSpec(n=20, m=3, seed=8))
         p = tmp_path / "out.csv"
-        export_dataset(ds, p)
+        write_csv(p, ds.column_names + ds.target_names,
+                  np.hstack([ds.X_raw, ds.Y]))
         back = load_csv(p, "y", TaskKind.regression())
         assert back.X_raw.tobytes() == ds.X_raw.tobytes()
         assert back.Y.tobytes() == ds.Y.tobytes()
         assert back.column_names == ds.column_names
-        assert (tmp_path / "out.csv.normalization.json").exists()
 
     def test_classification_simplex_validated(self, tmp_path):
         p = tmp_path / "c.csv"

@@ -64,7 +64,7 @@ class TestTermination:
     def test_stationary_start_returns_immediately(self):
         res = minimize(quadratic(np.ones(3)), np.ones(3))
         assert res.n_iters == 0
-        assert res.converged and res.reason == "gradient"
+        assert res.reason == "gradient"
         np.testing.assert_array_equal(res.x, np.ones(3))
 
     def test_iteration_cap(self):
@@ -95,6 +95,6 @@ class TestTermination:
             return f, g
 
         res = minimize(fg, rng.standard_normal(3) * 2, rel_tol=1e-12)
-        assert res.converged
+        assert res.reason in ("gradient", "f-rel")  # converged
         values = [f for _, f in calls]
         assert res.fun <= min(values) + 1e-15

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from slisemap.data import RsynthSpec, generate_rsynth
+from slisemap.data import Normalization, RsynthSpec, generate_rsynth
 from slisemap.errors import SlisemapError
 from slisemap.metrics import (MetricReport, cluster_purity, compute_report,
                               coverage, fidelity, fit_global_model,
                               knn_indices, loss_threshold)
 from slisemap.model import TaskKind
-from slisemap.objective import (Hyperparams, local_loss_matrix,
-                                pointwise_losses)
+from slisemap.objective import Hyperparams, local_loss_matrix
 from slisemap.solver import Solution, SolverConfig, fit
 
 REG = TaskKind.regression()
@@ -26,7 +25,7 @@ def make_solution(X, Y, B, Z, hp, task=REG):
         X=X, Y=Y, B=B, Z=Z, hyperparams=hp, task=task,
         final_loss=total_loss(X, Y, B, Z, hp, task), outer_iters_used=0,
         seed=0, column_names=[f"x{i+1}" for i in range(m)],
-        normalization_mean=np.zeros(m), normalization_std=np.ones(m))
+        normalization=Normalization(mean=np.zeros(m), std=np.ones(m)))
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +223,7 @@ class TestCoverage:
         Y = (X @ rng.standard_normal(m + 1)
              + 0.5 * rng.standard_normal(n))[:, None]
         b = fit_global_model(X, Y, REG)
-        losses = pointwise_losses(b, X, Y, REG)
+        losses = local_loss_matrix(b[None], X, Y, REG)[0]
         l0 = loss_threshold(losses, 0.3)
         sol = make_solution(X, Y, np.tile(b, (n, 1)),
                             rng.standard_normal((n, 2)),

@@ -14,11 +14,10 @@ from conftest import (central_difference, hellinger_sq, linear_predict,
                       random_instance, scalar_total_loss)
 from slisemap.errors import NumericError, ShapeError
 from slisemap.model import TaskKind
-from slisemap.objective import (Hyperparams, Workspace,
-                                added_loss_and_gradients, local_loss_matrix,
-                                loss_and_gradients, loss_gradients,
-                                loss_state, pairwise_distances,
-                                pointwise_losses, row_contributions,
+from slisemap.objective import (Hyperparams, Workspace, _as_problem,
+                                _forward, added_loss_and_gradients,
+                                local_loss_matrix, loss_and_gradients,
+                                pairwise_distances, row_contributions,
                                 softmax_weights, total_loss,
                                 uniform_loss_and_grad)
 from slisemap.solver import escape
@@ -29,6 +28,14 @@ REG = TaskKind.regression()
 def random_orthogonal(d, rng):
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return Q
+
+
+def forward(X, Y, B, Z, hp, task):
+    """Distances, softmax weights and local losses of the full problem, as
+    the kernel's forward pass computes them."""
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
+    _, _, D, W, L, _ = _forward(X, Y, B, Z, Z_old, task, Workspace())
+    return D, W, L
 
 
 class TestHyperparams:
@@ -202,11 +209,11 @@ class TestTotalLoss:
 class TestLossState:
     def test_state_invariants(self, rng):
         X, Y, B, Z, hp = random_instance(REG, 7, 3, 2, rng)
-        st = loss_state(X, Y, B, Z, hp, REG)
-        np.testing.assert_array_equal(st.D, st.D.T)
-        np.testing.assert_allclose(st.W.sum(axis=1), np.ones(7), atol=1e-9)
-        assert (st.L >= 0).all()
-        assert np.isfinite(st.total)
+        D, W, L = forward(X, Y, B, Z, hp, REG)
+        np.testing.assert_array_equal(D, D.T)
+        np.testing.assert_allclose(W.sum(axis=1), np.ones(7), atol=1e-9)
+        assert (L >= 0).all()
+        assert np.isfinite(total_loss(X, Y, B, Z, hp, REG))
 
 
 class TestLossGradients:
@@ -217,14 +224,15 @@ class TestLossGradients:
         B = np.zeros((3, 3))
         Z = np.linspace(0, 1, 6).reshape(3, 2)
         hp = Hyperparams(lambda_z=0.5)
-        gB, _ = loss_gradients(X, Y, B, Z, hp, REG)
+        _, gB, _ = loss_and_gradients(X, Y, B, Z, hp, REG)
         np.testing.assert_array_equal(gB, np.zeros_like(B))  # sign(0) == 0
 
     def test_zero_embedding_penalty_gradient_vanishes(self, rng):
         X, Y, B, _, _ = random_instance(REG, 5, 3, 2, rng)
         Z = np.zeros((5, 2))
-        g1 = loss_gradients(X, Y, B, Z, Hyperparams(lambda_z=0.1), REG)[1]
-        g2 = loss_gradients(X, Y, B, Z, Hyperparams(lambda_z=100.0), REG)[1]
+        g1 = loss_and_gradients(X, Y, B, Z, Hyperparams(lambda_z=0.1), REG)[2]
+        g2 = loss_and_gradients(X, Y, B, Z, Hyperparams(lambda_z=100.0),
+                                REG)[2]
         np.testing.assert_array_equal(g1, g2)
 
     @pytest.mark.parametrize("task", [REG, TaskKind.classification(3),
@@ -336,10 +344,10 @@ class TestKernelProperties:
     @given(problems())
     def test_loss_state_matches_the_public_builders(self, problem):
         task, X, Y, B, Z, hp = problem
-        state = loss_state(X, Y, B, Z, hp, task)
+        D_k, W_k, L_k = forward(X, Y, B, Z, hp, task)
         D = pairwise_distances(Z)
-        for got, want in ((state.D, D), (state.W, softmax_weights(D)),
-                          (state.L, local_loss_matrix(B, X, Y, task))):
+        for got, want in ((D_k, D), (W_k, softmax_weights(D)),
+                          (L_k, local_loss_matrix(B, X, Y, task))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(st.lists(problems(), min_size=2, max_size=4))
@@ -398,14 +406,10 @@ class TestRowContributions:
 ENTRY_POINTS = {
     "local_loss_matrix": lambda X, Y, B, Z, Z_old, hp:
         local_loss_matrix(B, X, Y, REG),
-    "pointwise_losses": lambda X, Y, B, Z, Z_old, hp:
-        pointwise_losses(B[0], X, Y, REG),
     "uniform_loss_and_grad": lambda X, Y, B, Z, Z_old, hp:
         uniform_loss_and_grad(B[0], X, Y, REG, 1e-4),
     "total_loss": lambda X, Y, B, Z, Z_old, hp:
         total_loss(X, Y, B, Z, hp, REG),
-    "loss_state": lambda X, Y, B, Z, Z_old, hp:
-        loss_state(X, Y, B, Z, hp, REG),
     "loss_and_gradients": lambda X, Y, B, Z, Z_old, hp:
         loss_and_gradients(X, Y, B, Z, hp, REG),
     "row_contributions": lambda X, Y, B, Z, Z_old, hp:
@@ -429,7 +433,7 @@ MISMATCHES = {
 
 
 def _applies(entry, mismatch):
-    if entry in ("local_loss_matrix", "pointwise_losses",
+    if entry in ("local_loss_matrix",
                  "uniform_loss_and_grad"):  # no embedding: any B rows
         return mismatch in ("X_not_a_matrix", "B_width", "Y_shape")
     if entry == "escape":  # no hp: Z may have any width

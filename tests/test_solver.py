@@ -1,14 +1,16 @@
 """Tests for initialization, the escape heuristic, the fit loop, solution
 serialization and out-of-sample addition."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_instance, scalar_row_contribution
+from slisemap import solver
 from slisemap.data import RsynthSpec, generate_rsynth
-from slisemap.errors import ShapeError, SlisemapError
+from slisemap.errors import NumericError, ShapeError, SlisemapError
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, local_loss_matrix,
                                 pairwise_distances, softmax_weights,
@@ -149,7 +151,7 @@ def small_fit():
     hp = Hyperparams(lambda_z=0.1)
     sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=11),
               column_names=ds.column_names,
-              normalization=(ds.normalization.mean, ds.normalization.std))
+              normalization=ds.normalization)
     return ds, sol
 
 
@@ -180,6 +182,48 @@ class TestFit:
         X, Y, B, Z, hp = random_instance(REG, 1, 2, 2, rng)
         with pytest.raises(SlisemapError):
             fit(X, Y, hp, REG, SolverConfig())
+
+    @pytest.mark.parametrize("where", ["first-call", "later-round"])
+    def test_numeric_failure_returns_a_consistent_state(self, where,
+                                                        monkeypatch):
+        ds, _ = generate_rsynth(RsynthSpec(n=30, m=3, seed=4))
+        hp = Hyperparams(lambda_z=0.1)
+        original = solver.loss_and_gradients
+        calls = itertools.count(1)
+
+        def counted(*args, **kwargs):
+            next(calls)
+            return original(*args, **kwargs)
+
+        # the evaluations of the initial solve and one escape round; the
+        # later failure comes 10 evaluations into the round after them
+        monkeypatch.setattr(solver, "loss_and_gradients", counted)
+        fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=4, max_outer_iters=1))
+        fail_at = 1 if where == "first-call" else next(calls) + 10
+        calls = itertools.count(1)
+
+        def failing(*args, **kwargs):
+            if next(calls) == fail_at:
+                raise NumericError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "loss_and_gradients", failing)
+        match = "numeric failure " + ("in the initial minimization"
+                                      if where == "first-call" else "mid-fit")
+        with pytest.warns(UserWarning, match=match):
+            sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=4))
+        assert sol.numeric_warning
+        h = sol.loss_history
+        if where == "first-call":
+            B0, Z0 = solver.init(ds.X, ds.Y, hp, REG, 4)
+            assert sol.B.tobytes() == B0.tobytes()
+            assert sol.Z.tobytes() == Z0.tobytes()
+            assert h == [sol.final_loss] and sol.outer_iters_used == 1
+        else:
+            assert len(h) >= 2 and all(a >= b for a, b in zip(h, h[1:]))
+            assert sol.final_loss == h[-1]
+        assert sol.final_loss == total_loss(sol.X, sol.Y, sol.B, sol.Z, hp,
+                                            REG)
 
     def test_escape_disabled_terminates_and_is_worse(self):
         """Directional check: without the escape pass the reachable loss is
