@@ -78,6 +78,13 @@ def _positive_int(text):
     return v
 
 
+def _nonneg_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return v
+
+
 def _task_from_args(args) -> TaskKind:
     if args.task == "classification":
         n_classes = len(args.target)
@@ -94,11 +101,9 @@ def _task_from_args(args) -> TaskKind:
 def _solver_config(args) -> solvermod.SolverConfig:
     return solvermod.SolverConfig(
         max_outer_iters=args.max_outer_iters,
-        lbfgs_history=args.lbfgs_history,
         lbfgs_max_iters=args.lbfgs_max_iters,
         rel_tol=args.rel_tol,
         seed=args.seed,
-        escape=not args.no_escape,
     )
 
 
@@ -186,7 +191,8 @@ def cmd_add(args) -> int:
         print(f"{PROG}: warning: {args.data} has no data rows; nothing to add",
               file=sys.stderr)
         return 0
-    ds = datamod.load_csv(args.data, sol.target_names, sol.task)
+    ds = datamod.load_csv(args.data, sol.target_names, sol.task, one_hot=(
+        datamod.one_hot_column(sol.target_names) is not None))
     if set(ds.column_names) != set(sol.column_names):
         raise DataError(
             f"covariate columns {ds.column_names} do not match the "
@@ -251,6 +257,8 @@ def cmd_sweep(args) -> int:
         seed = args.seed + idx
         fit_args = argparse.Namespace(**{**vars(args), "seed": seed})
         ds = _load_for_fit(fit_args, task)
+        for k in args.k or ():
+            metricsmod.check_k(k, ds.n)
         hp = Hyperparams(lambda_z=lz, lambda_lasso=args.lambda_lasso, d=args.d)
         sol = _fit_dataset(ds, task, hp, _solver_config(fit_args))
         ks = args.k if args.k else [k for k in (5, 10, 25, 50) if k < sol.n]
@@ -366,10 +374,8 @@ def _add_fit_flags(p, with_lambda_z=True):
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--subsample", type=_positive_int, default=None,
                    help="fit on a random subsample of this size")
-    p.add_argument("--no-escape", action="store_true",
-                   help="disable the local-optimum escape heuristic")
-    p.add_argument("--max-outer-iters", type=_positive_int, default=100)
-    p.add_argument("--lbfgs-history", type=_positive_int, default=10)
+    p.add_argument("--max-outer-iters", type=_nonneg_int, default=100,
+                   help="escape rounds after the first solve (0: none)")
     p.add_argument("--lbfgs-max-iters", type=_positive_int, default=500)
     p.add_argument("--rel-tol", type=_positive_float, default=1e-6)
 

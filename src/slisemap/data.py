@@ -132,9 +132,6 @@ def training_response(Y: np.ndarray, task: TaskKind) -> np.ndarray:
     Pass-through for regression and classification; the binary-logit task
     maps its probability column through the (clamped) logit.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if task.kind == "binary-logit":
         return logit_transform(Y)
     return Y
@@ -177,11 +174,24 @@ def _read_table(path):
     return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
-def _one_hot(values: np.ndarray, column: str):
-    classes = np.unique(values)
-    Y = (values[:, None] == classes[None, :]).astype(float)
-    names = [f"{column}={v:g}" for v in classes]
+def _one_hot(values: np.ndarray, column: str, names=None):
+    """Indicators of the ids ``values`` for targets ``names`` (all present)."""
+    if names is None:
+        names = [f"{column}={v:g}" for v in np.unique(values)]
+    Y = np.array([[f"{column}={v:g}" == t for t in names] for v in values],
+                 dtype=float)
+    for v in values[~Y.any(axis=1)][:1]:
+        raise DataError(f'class id {v:g} in column "{column}" is not a class')
     return Y, names
+
+
+def one_hot_column(target_names):
+    """The class-id column ``cls`` whose one-hot expansion gave the target
+    names ``cls=0``, ``cls=1``, ..., or None for other names."""
+    column = target_names[0].rpartition("=")[0]
+    if column and all(t.startswith(column + "=") for t in target_names):
+        return column
+    return None
 
 
 def load_csv(path, target_columns, task: TaskKind, *,
@@ -192,19 +202,22 @@ def load_csv(path, target_columns, task: TaskKind, *,
     ``target_columns`` names the response column(s); classification expects
     one probability column per class whose rows form a simplex, unless
     ``one_hot`` is set, in which case a single column of class ids is
-    expanded.  ``label_column``, when given, is split off as ground-truth
-    cluster labels rather than a covariate.
+    expanded (``target_columns`` may then be a one-hot fit's target names).
+    ``label_column``, when given, is split off as ground-truth cluster
+    labels rather than a covariate.
     """
     if isinstance(target_columns, str):
         target_columns = [target_columns]
     target_columns = list(target_columns)
+    column = one_hot_column(target_columns) if one_hot else None
+    read = [column] if column else target_columns
     header, table = _read_table(path)
     if table.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    for t in target_columns + ([label_column] if label_column else []):
+    for t in read + ([label_column] if label_column else []):
         if t not in header:
             raise DataError(f'{path}: missing column "{t}"')
-    t_idx = [header.index(t) for t in target_columns]
+    t_idx = [header.index(t) for t in read]
     l_idx = header.index(label_column) if label_column else None
     f_idx = [j for j in range(len(header))
              if j not in t_idx and j != l_idx]
@@ -218,7 +231,8 @@ def load_csv(path, target_columns, task: TaskKind, *,
         if one_hot:
             if Y.shape[1] != 1:
                 raise DataError("--one-hot expects a single target column")
-            Y, target_names = _one_hot(Y[:, 0], target_columns[0])
+            Y, target_names = _one_hot(Y[:, 0], read[0],
+                                       target_columns if column else None)
         if Y.shape[1] != task.n_classes:
             raise DataError(
                 f"classification with {task.n_classes} classes needs "

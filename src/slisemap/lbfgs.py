@@ -13,6 +13,7 @@ best point seen so far is returned and the caller keeps going.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ _C1 = 1e-4
 _C2 = 0.9
 _GRAD_TOL = 1e-9
 _MAX_LS_EVALS = 30  # objective evaluations per line search
+_HISTORY = 10  # curvature pairs kept
 
 
 @dataclass
@@ -53,19 +55,6 @@ def _cubic_min(a, fa, da, b, fb, db):
     return t
 
 
-class _Tracker:
-    """Remembers the best finite point evaluated during a line search."""
-
-    def __init__(self, f0):
-        self.alpha = 0.0
-        self.f = f0
-        self.g = None
-
-    def update(self, alpha, f, g):
-        if np.isfinite(f) and f < self.f:
-            self.alpha, self.f, self.g = alpha, f, g
-
-
 def _strong_wolfe(fg, x, p, f0, g0, alpha0):
     """Find a step along ``p`` satisfying the strong Wolfe conditions.
 
@@ -74,14 +63,15 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
     """
     dphi0 = float(g0 @ p)
     phi0 = f0
-    best = _Tracker(f0)
+    best_a, best_f, best_g = 0.0, f0, None  # best finite point evaluated
     evals = 0
 
     def phi(a):
-        nonlocal evals
+        nonlocal evals, best_a, best_f, best_g
         f, g = fg(x + a * p)
         evals += 1
-        best.update(a, f, g)
+        if np.isfinite(f) and f < best_f:
+            best_a, best_f, best_g = a, f, g
         return f, g
 
     def wolfe2(dphi):
@@ -135,26 +125,26 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
         a, f, g = res[:3]
         return a, f, g, evals, True
     # Salvage whatever decreased the loss the most.
-    if best.alpha > 0.0 and best.f < f0:
-        return best.alpha, best.f, best.g, evals, False
+    if best_a > 0.0 and best_f < f0:
+        return best_a, best_f, best_g, evals, False
     return 0.0, f0, g0, evals, False
 
 
-def _two_loop(g, s_list, y_list, rho_list, gamma):
+def _two_loop(g, pairs, gamma):
     q = -g
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
     q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
 
 
-def minimize(fun_and_grad, x0, *, history=10, max_iters=500,
+def minimize(fun_and_grad, x0, *, max_iters=500,
              rel_tol=1e-6) -> MinimizeResult:
     """Minimize ``fun_and_grad`` starting from ``x0``.
 
@@ -165,7 +155,7 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500,
     f, g = fun_and_grad(x)
     n_evals = 1
     best_x, best_f = x.copy(), f
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=_HISTORY)  # curvature pairs (s, y, 1 / s.y)
     gamma = 1.0
     reason = "max-iters"
     stalls = 0
@@ -177,15 +167,15 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500,
             reason = "gradient"
             break
         it += 1
-        p = _two_loop(g, s_list, y_list, rho_list, gamma)
+        p = _two_loop(g, pairs, gamma)
         dphi0 = float(g @ p)
         if not np.isfinite(dphi0) or dphi0 >= 0.0:
             # Defective curvature memory: restart from steepest descent.
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
             gamma = 1.0
             p = -g
             dphi0 = -float(g @ g)
-        if s_list:
+        if pairs:
             alpha0 = 1.0
         else:
             alpha0 = min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
@@ -199,14 +189,8 @@ def minimize(fun_and_grad, x0, *, history=10, max_iters=500,
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
+            pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(y @ y)
-            if len(s_list) > history:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
         x = x + s
         improvement = f - f_new
         stall_bar = rel_tol * max(abs(f), abs(f_new), 1.0)

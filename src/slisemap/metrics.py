@@ -88,8 +88,8 @@ def fit_global_model(X, Y, task: TaskKind, *, lambda_lasso: float = 1e-4,
     def fg(b):
         return uniform_loss_and_grad(b, X, Y, task, lambda_lasso)
 
-    res = lbfgs.minimize(fg, np.zeros(q), history=config.lbfgs_history,
-                         max_iters=config.lbfgs_max_iters, rel_tol=1e-12)
+    res = lbfgs.minimize(fg, np.zeros(q), max_iters=config.lbfgs_max_iters,
+                         rel_tol=1e-12)
     return res.x
 
 
@@ -109,7 +109,8 @@ def check_quantile(q: float) -> None:
         raise SlisemapError(f"quantile must be in [0, 1], got {q}")
 
 
-def _check_k(k: int, n: int) -> None:
+def check_k(k: int, n: int) -> None:
+    """Raise a SlisemapError unless 1 <= k < n."""
     if not 1 <= k < n:
         raise SlisemapError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
 
@@ -121,7 +122,7 @@ def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     The first j columns of the result are the j nearest neighbours.
     """
     Z = np.asarray(Z, dtype=float)
-    _check_k(k, Z.shape[0])
+    check_k(k, Z.shape[0])
     D = pairwise_distances(Z)
     np.fill_diagonal(D, np.inf)
     order = np.argsort(D, axis=1, kind="stable")
@@ -188,7 +189,7 @@ def compute_report(sol: Solution, ks, labels=None, quantile: float = 0.3,
     """
     ks = sorted(set(int(k) for k in ks))
     for k in ks:
-        _check_k(k, sol.n)
+        check_k(k, sol.n)
     b_global = fit_global_model(sol.X, sol.Y, sol.task,
                                 lambda_lasso=sol.hyperparams.lambda_lasso,
                                 config=config)

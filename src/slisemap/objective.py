@@ -130,28 +130,31 @@ def softmax_weights(D: np.ndarray) -> np.ndarray:
     return _softmax_into(np.empty(np.shape(D)), np.asarray(D, dtype=float))
 
 
-def _as_problem(task: TaskKind, X, Y, B, Z=None, d=None, Z_old=None):
+def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
     """``(X, Y, B, Z, Z_old)`` as float64 arrays, a 1-D response as one
     column and Z C-contiguous, or a ShapeError on any disagreement.
 
-    Without ``Z``, B may have any number of rows.  With it, the items of
-    (X, Y) are the n_old frozen embedding rows ``Z_old`` (none by default)
-    followed by the k rows of (B, Z), and ``d``, if given, is Z's width.
+    Without ``B`` only (X, Y) are checked.  Without ``Z``, B may have any
+    number of rows.  With it, the items of (X, Y) are the n_old frozen
+    embedding rows ``Z_old`` (none by default) followed by the k rows of
+    (B, Z), and ``d``, if given, is Z's width.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    B = np.asarray(B, dtype=float)
     if X.ndim != 2:
         raise ShapeError("covariates must form a 2-D matrix", got=X.shape)
     n, q = X.shape[0], task.coef_len(X.shape[1])
-    if B.ndim != 2 or B.shape[1] != q:
-        raise ShapeError("coefficient matrix width does not match task",
-                         expected=q, got=B.shape)
     if Y.shape != (n, task.response_dim()):
         raise ShapeError("response matrix shape does not match task",
                          expected=(n, task.response_dim()), got=Y.shape)
+    if B is None:
+        return X, Y, None, None, None
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[1] != q:
+        raise ShapeError("coefficient matrix width does not match task",
+                         expected=q, got=B.shape)
     if Z is None:
         return X, Y, B, None, None
     Z = np.ascontiguousarray(Z, dtype=float)

@@ -30,17 +30,16 @@ from .objective import (Hyperparams, Workspace, _as_problem,
 class SolverConfig:
     """Knobs of the fit loop and the inner quasi-Newton solver."""
 
-    max_outer_iters: int = 100
-    lbfgs_history: int = 10
+    max_outer_iters: int = 100  # escape rounds after the first solve; 0: none
     lbfgs_max_iters: int = 500
     rel_tol: float = 1e-6
     seed: int = 42
-    escape: bool = True
 
     def __post_init__(self):
-        if self.max_outer_iters < 1 or self.lbfgs_history < 1 \
-                or self.lbfgs_max_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
+        m = self.max_outer_iters
+        if not (m >= 0 and m % 1 == 0 and self.lbfgs_max_iters >= 1):
+            raise ValueError("max_outer_iters must be an integer >= 0 and "
+                             "lbfgs_max_iters >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
 
@@ -224,8 +223,7 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
         return f, np.concatenate([gB.ravel(), (gZ / scale).ravel()])
 
     x0 = np.concatenate([B0.ravel(), (Z0 * scale).ravel()])
-    res = lbfgs.minimize(fg, x0, history=config.lbfgs_history,
-                         max_iters=config.lbfgs_max_iters,
+    res = lbfgs.minimize(fg, x0, max_iters=config.lbfgs_max_iters,
                          rel_tol=config.rel_tol)
     B, V = unpack(res.x)
     return B.copy(), V / scale, res.fun
@@ -261,10 +259,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     carried into the Solution for serialization; identity defaults are used
     when fitting plain matrices.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y, _, _, _ = _as_problem(task, X, Y)
     n, n_cols = X.shape
     if n < 2:
         raise SlisemapError(f"need at least 2 data items to embed, got {n}")
@@ -294,7 +289,6 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         numeric_warning = True
     best_B, best_Z, best_f = B, Z, f
     history = [best_f]
-    outer = 1
 
     # An escape pass routinely makes the loss temporarily worse before a
     # later round lands in a better basin, so a non-improving round must
@@ -303,8 +297,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     # loop); rounds exploring clearly worse basins get a longer leash.
     plateau = 0
     no_gain = 0
-    while config.escape and outer - 1 < config.max_outer_iters \
-            and not numeric_warning:
+    while len(history) - 1 < config.max_outer_iters and not numeric_warning:
         B_e, Z_e = escape(X, Y, B, Z, task)
         try:
             B, Z, f = lbfgs_minimize(fun_and_grad, B_e, Z_e, hp, config)
@@ -313,7 +306,6 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
                           "state found so far")
             numeric_warning = True
             break
-        outer += 1
         improvement = best_f - f
         if f < best_f:
             best_B, best_Z, best_f = B, Z, f
@@ -330,7 +322,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
     return Solution(
         X=X, Y=Y, B=best_B, Z=best_Z, hyperparams=hp, task=task,
-        final_loss=best_f, outer_iters_used=outer, seed=config.seed,
+        final_loss=best_f, outer_iters_used=len(history), seed=config.seed,
         column_names=list(column_names), normalization=normalization,
         target_names=list(target_names),
         loss_history=history, numeric_warning=numeric_warning)

@@ -43,9 +43,10 @@ def small_runs():
     for seed in range(1, 11):
         ds, _ = generate_rsynth(RsynthSpec(n=200, m=10, seed=seed))
         hp = Hyperparams(lambda_z=LAMBDA_Z)
-        sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=seed))
+        sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=seed),
+                  normalization=ds.normalization)
         sol_ne = fit(ds.X, ds.Y, hp, REG,
-                     SolverConfig(seed=seed, escape=False))
+                     SolverConfig(seed=seed, max_outer_iters=0))
         runs.append({
             "ds": ds,
             "sol": sol,

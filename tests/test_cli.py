@@ -120,6 +120,16 @@ class TestFit:
         assert rc == 4
         assert "error: numeric" in capsys.readouterr().err
 
+    def test_zero_outer_iters_fits_without_escape(self, workspace,
+                                                  tmp_path):
+        _, gen, _ = workspace
+        out = tmp_path / "s.json"
+        rc = main(["fit", "--data", str(gen / "data.csv"), "--target", "y",
+                   "--lambda-z", "0.1", "--seed", "1",
+                   "--max-outer-iters", "0", "--out", str(out)])
+        assert rc == 0
+        assert Solution.load(out).outer_iters_used == 1
+
     def test_subsample_flag(self, workspace, tmp_path):
         _, gen, _ = workspace
         out = tmp_path / "s.json"
@@ -273,6 +283,21 @@ class TestSweep:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 3
 
+    def test_k_checked_before_any_fit(self, workspace, tmp_path, monkeypatch,
+                                      capsys):
+        _, gen, _ = workspace
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("sweep fitted before checking --k")
+
+        monkeypatch.setattr(solver, "fit", no_fit)
+        # 20 rows remain after --subsample, so k = 20 is out of range
+        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                   "--lambda-z", "0.1", "--subsample", "20", "--k", "5",
+                   "--k", "20", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
+        assert "k=20, n=20" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_svg_structure(self, workspace, tmp_path):
@@ -393,6 +418,20 @@ def write_classification_csv(path, n=40, seed=0):
     path.write_text("\n".join(rows) + "\n")
 
 
+def fit_class_ids(data, sol_path) -> int:
+    """Write 30 rows of two covariates and a class id 0-2 to ``data`` and
+    fit them with ``--one-hot``; returns the exit code."""
+    rng = np.random.default_rng(1)
+    rows = ["a,b,cls"]
+    for i in range(30):
+        rows.append(f"{repr(rng.standard_normal())},"
+                    f"{repr(rng.standard_normal())},{i % 3}")
+    data.write_text("\n".join(rows) + "\n")
+    return main(["fit", "--data", str(data), "--target", "cls", "--task",
+                 "classification", "--one-hot", "--n-classes", "3",
+                 "--lambda-z", "0.1", "--seed", "1", "--out", str(sol_path)])
+
+
 class TestClassificationPipeline:
     def test_fit_metrics_add_round_trip(self, tmp_path):
         data = tmp_path / "cls.csv"
@@ -416,22 +455,32 @@ class TestClassificationPipeline:
         assert "p1:intercept" in header
 
     def test_one_hot_target_expansion(self, tmp_path):
-        rng = np.random.default_rng(1)
-        rows = ["a,b,cls"]
-        for i in range(30):
-            rows.append(f"{repr(rng.standard_normal())},"
-                        f"{repr(rng.standard_normal())},{i % 3}")
         data = tmp_path / "hard.csv"
-        data.write_text("\n".join(rows) + "\n")
         sol_path = tmp_path / "sol.json"
-        rc = main(["fit", "--data", str(data), "--target", "cls", "--task",
-                   "classification", "--one-hot", "--n-classes", "3",
-                   "--lambda-z", "0.1", "--seed", "1",
-                   "--out", str(sol_path)])
+        rc = fit_class_ids(data, sol_path)
         assert rc == 0
         sol = Solution.load(sol_path)
         assert sol.Y.shape == (30, 3)
         assert sol.target_names == ["cls=0", "cls=1", "cls=2"]
+
+    def test_one_hot_add_reads_the_class_id_column(self, tmp_path, capsys):
+        data = tmp_path / "hard.csv"
+        sol_path = tmp_path / "sol.json"
+        assert fit_class_ids(data, sol_path) == 0
+        lines = data.read_text().splitlines()
+        first = tmp_path / "first.csv"
+        first.write_text("\n".join(lines[:2]) + "\n")
+        for path, n in ((first, 1), (data, 30)):
+            out = tmp_path / f"added{n}.csv"
+            assert main(["add", "--solution", str(sol_path), "--data",
+                         str(path), "--out", str(out)]) == 0
+            with open(out) as fh:
+                assert len(list(csv.reader(fh))) == 1 + n
+        unknown = tmp_path / "unknown.csv"
+        unknown.write_text(lines[0] + "\n0.5,0.5,7\n")
+        assert main(["add", "--solution", str(sol_path), "--data",
+                     str(unknown), "--out", str(tmp_path / "u.csv")]) == 3
+        assert 'class id 7 in column "cls"' in capsys.readouterr().err
 
     def test_binary_logit_fit(self, tmp_path):
         data = tmp_path / "cls.csv"

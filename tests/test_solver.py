@@ -183,6 +183,36 @@ class TestFit:
         with pytest.raises(SlisemapError):
             fit(X, Y, hp, REG, SolverConfig())
 
+    def test_zero_outer_iters_skips_escape(self, monkeypatch):
+        ds, _ = generate_rsynth(RsynthSpec(n=30, m=3, seed=4))
+
+        def escape_called(*args, **kwargs):
+            raise AssertionError("escape ran with max_outer_iters=0")
+
+        monkeypatch.setattr(solver, "escape", escape_called)
+        sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
+                  SolverConfig(seed=4, max_outer_iters=0))
+        assert sol.outer_iters_used == len(sol.loss_history) == 1
+
+    @pytest.mark.parametrize("value", [-1, float("nan"), 1.5])
+    def test_outer_iters_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(ValueError):
+            SolverConfig(max_outer_iters=value)
+
+    def test_covariates_must_be_a_matrix(self):
+        with pytest.raises(ShapeError):
+            fit(np.ones(5), np.ones(5), Hyperparams(lambda_z=0.1), REG)
+
+    def test_short_response_rejected_before_init(self, rng, monkeypatch):
+        X, Y, *_ = random_instance(REG, 6, 3, 2, rng)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init ran before the shape check")
+
+        monkeypatch.setattr(solver, "init", no_init)
+        with pytest.raises(ShapeError):
+            fit(X, Y[:-1], Hyperparams(lambda_z=0.1), REG)
+
     @pytest.mark.parametrize("where", ["first-call", "later-round"])
     def test_numeric_failure_returns_a_consistent_state(self, where,
                                                         monkeypatch):
@@ -235,7 +265,7 @@ class TestFit:
             hp = Hyperparams(lambda_z=0.1)
             with_esc = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=seed))
             without = fit(ds.X, ds.Y, hp, REG,
-                          SolverConfig(seed=seed, escape=False))
+                          SolverConfig(seed=seed, max_outer_iters=0))
             if without.final_loss >= with_esc.final_loss - 1e-9:
                 wins += 1
         assert wins >= int(0.8 * trials)

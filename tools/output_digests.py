@@ -1,0 +1,65 @@
+"""Print one line of output digests per training set of the benchmark
+workloads ``clf200`` and ``reg200-seeds``.
+
+Each line holds sha256 prefixes of ``solver.fit``'s B, Z, final loss, loss
+history and round count; of ``solver.escape`` at the fitted solution; of
+``metrics.compute_report`` at k = 5, 10, 25, 50 with labels; and of
+``solver.add_new`` of 20 fresh points as one batch and of 10 fresh points
+one by one.  Two commits whose lines are equal give bit-identical outputs
+on these inputs.  The training sets and fresh points are those of
+``benchmarks/workloads.make_problems(wl, 1)``.
+
+    python3 tools/output_digests.py
+
+BLAS runs on one thread, since its thread count changes the outputs.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
+
+import workloads  # noqa: E402
+from slisemap import metrics, solver  # noqa: E402
+
+N_BATCH = 20
+N_SINGLE = 10
+
+
+def digest(*parts) -> str:
+    """sha256 prefix of arrays (raw bytes) and other values (repr)."""
+    return workloads._digest(*parts)[:16]
+
+
+def digest_line(p) -> str:
+    sol = solver.fit(p.X, p.Y, p.hp, p.task, p.config)
+    report = metrics.compute_report(sol, workloads.KS, labels=p.labels,
+                                    config=p.config)
+    batch = solver.add_new(sol, p.X_new[:N_BATCH], p.Y_new[:N_BATCH],
+                           p.config)
+    single = solver.add_new(sol, p.X_new[:N_SINGLE], p.Y_new[:N_SINGLE],
+                            p.config, one_by_one=True)
+    return " ".join([
+        "fit", digest(sol.B, sol.Z, sol.final_loss, sol.loss_history,
+                      sol.outer_iters_used),
+        "escape", digest(*solver.escape(sol.X, sol.Y, sol.B, sol.Z, sol.task)),
+        "report", digest(json.dumps(report.to_json_dict(), sort_keys=True)),
+        "add", f"{digest(*batch)}/{digest(*single)}"])
+
+
+def main() -> None:
+    for name in ("clf200", "reg200-seeds"):
+        wl = workloads.WORKLOADS[name]
+        for seed, p in zip(wl.train_seeds, workloads.make_problems(wl, 1)):
+            print(f"{name} seed {seed}: {digest_line(p)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
