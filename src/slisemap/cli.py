@@ -191,15 +191,16 @@ def cmd_add(args) -> int:
         print(f"{PROG}: warning: {args.data} has no data rows; nothing to add",
               file=sys.stderr)
         return 0
-    ds = datamod.load_csv(args.data, sol.target_names, sol.task, one_hot=(
-        datamod.one_hot_column(sol.target_names) is not None))
-    if set(ds.column_names) != set(sol.column_names):
+    X_raw, Y, names, _, _ = datamod.read_columns(
+        args.data, sol.target_names, sol.task,
+        one_hot=datamod.one_hot_column(sol.target_names) is not None)
+    if set(names) != set(sol.column_names):
         raise DataError(
-            f"covariate columns {ds.column_names} do not match the "
+            f"covariate columns {names} do not match the "
             f"solution's {sol.column_names}")
-    order = [ds.column_names.index(c) for c in sol.column_names]
-    X_new = datamod.apply_normalization(ds.X_raw[:, order], sol.normalization)
-    Y_new = datamod.training_response(ds.Y, sol.task)
+    order = [names.index(c) for c in sol.column_names]
+    X_new = datamod.apply_normalization(X_raw[:, order], sol.normalization)
+    Y_new = datamod.training_response(Y, sol.task)
     config = solvermod.SolverConfig(seed=sol.seed)
     B_new, Z_new, losses = solvermod.add_new(sol, X_new, Y_new, config,
                                              one_by_one=args.one_by_one)

@@ -194,17 +194,17 @@ def one_hot_column(target_names):
     return None
 
 
-def load_csv(path, target_columns, task: TaskKind, *,
-             label_column: Optional[str] = None,
-             one_hot: bool = False) -> Dataset:
-    """Read a numeric CSV with a header row into a Dataset.
+def read_columns(path, target_columns, task: TaskKind, *,
+                 label_column: Optional[str] = None, one_hot: bool = False):
+    """Read a numeric CSV with a header row, without standardizing it.
 
+    Returns ``(X_raw, Y, column_names, target_names, labels)``.
     ``target_columns`` names the response column(s); classification expects
     one probability column per class whose rows form a simplex, unless
     ``one_hot`` is set, in which case a single column of class ids is
     expanded (``target_columns`` may then be a one-hot fit's target names).
     ``label_column``, when given, is split off as ground-truth cluster
-    labels rather than a covariate.
+    labels rather than a covariate (``labels`` is None otherwise).
     """
     if isinstance(target_columns, str):
         target_columns = [target_columns]
@@ -253,9 +253,19 @@ def load_csv(path, target_columns, task: TaskKind, *,
                             "in [0, 1]")
 
     labels = table[:, l_idx].astype(int) if l_idx is not None else None
+    return X_raw, Y, [header[j] for j in f_idx], target_names, labels
+
+
+def load_csv(path, target_columns, task: TaskKind, *,
+             label_column: Optional[str] = None,
+             one_hot: bool = False) -> Dataset:
+    """Read a numeric CSV with a header row into a Dataset, its covariates
+    standardized; the arguments are those of :func:`read_columns`."""
+    X_raw, Y, column_names, target_names, labels = read_columns(
+        path, target_columns, task, label_column=label_column,
+        one_hot=one_hot)
     X, norm = normalize(X_raw)
-    return Dataset(X_raw=X_raw, X=X, Y=Y,
-                   column_names=[header[j] for j in f_idx],
+    return Dataset(X_raw=X_raw, X=X, Y=Y, column_names=column_names,
                    target_names=target_names, normalization=norm,
                    labels=labels)
 

@@ -20,7 +20,7 @@ from . import lbfgs
 from .data import Normalization
 from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import (Hyperparams, Workspace, _as_problem,
+from .objective import (Hyperparams, Workspace, _as_problem, _forward,
                         added_loss_and_gradients, local_loss_matrix,
                         loss_and_gradients, pairwise_distances,
                         row_contributions, softmax_weights, total_loss)
@@ -328,29 +328,49 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         loss_history=history, numeric_warning=numeric_warning)
 
 
-def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, W_old,
+def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
                work: Workspace):
-    """Optimize the new rows jointly against the frozen old solution.
+    """Optimize the new rows jointly against the frozen old solution, new
+    row i starting as a copy of old row ``start[i]``.
 
-    ``W_old`` is the old solution's softmax weight matrix; ``work`` lends
-    the solve its buffers.
+    ``work`` lends the solve its buffers.
     """
     Xc = np.vstack([sol.X, X_new])
     Yc = np.vstack([sol.Y, Y_new])
     hp, task = sol.hyperparams, sol.task
 
-    # Escape against the old solution: candidate rows are old rows only.
-    ks = _best_rows(W_old, sol.B, X_new, Y_new, task)
-
     def fun_and_grad(Bn, Zn):
         return added_loss_and_gradients(Xc, Yc, sol.B, sol.Z, Bn, Zn, hp,
                                         task, work=work)
 
-    B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[ks], sol.Z[ks], hp,
-                                     config)
+    B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[start],
+                                     sol.Z[start], hp, config)
     contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
                                 work=work)
     return B_new, Z_new, contrib
+
+
+def _copy_losses(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
+                 work: Workspace):
+    """The loss of one new item's row, appended to the solution (B, Z) on
+    the items (X, Y), when it is a copy of old row k, for every k.
+
+    Returns a function of the item's ``(x, y)`` (one row each) giving the
+    n losses ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k``: the copy sees old
+    row k's neighbourhood plus itself at distance zero.  S_k and w_k = W_kk
+    = 1 / sum_j exp(-D_kj) come from one forward pass over the solution,
+    so each item costs one row of local losses.
+    """
+    S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, work)
+    w = np.diagonal(W).copy()
+    pen = hp.lambda_z * (Z * Z).sum(axis=1) \
+        + hp.lambda_lasso * np.abs(B).sum(axis=1)
+
+    def losses(x, y):
+        return (S + w * local_loss_matrix(B, x, y, task)[:, 0]) / (1.0 + w) \
+            + pen
+
+    return losses
 
 
 def add_new(sol: Solution, X_new, Y_new,
@@ -363,17 +383,37 @@ def add_new(sol: Solution, X_new, Y_new,
     ``one_by_one`` each point is added independently against the original
     solution; otherwise the whole batch is optimized jointly.  The stored
     solution is never mutated.
+
+    Each new row starts as a copy of an old row.  A point added on its own
+    (one row, or ``one_by_one``) starts from the old row k whose copy
+    gives it the lowest loss in the incremented problem,
+
+        f_k = (S_k + w_k L_k(x)) / (1 + w_k) + lambda_z |Z_k|^2
+              + lambda_lasso |B_k|_1,
+
+    with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
+    k on the point; S and w come from one n x n forward pass per call.  A
+    training row added again thus starts no worse than its own copy.  The
+    rows of a joint batch start from the old row whose neighbourhood fits
+    their item best, ``argmin_k (W @ L)[k, i]`` as in :func:`escape`: f
+    ignores the other new rows, and as a batch start it measured worse.
     """
     X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
                                         Y_new, sol.B)
-    W_old = softmax_weights(pairwise_distances(sol.Z))
+    k = X_new.shape[0]
     work = Workspace()
-    if not one_by_one or X_new.shape[0] <= 1:
-        return _add_batch(sol, X_new, Y_new, config, W_old, work)
-    parts = [_add_batch(sol, X_new[i:i + 1], Y_new[i:i + 1], config, W_old,
-                        work)
-             for i in range(X_new.shape[0])]
-    B_new = np.vstack([p[0] for p in parts])
-    Z_new = np.vstack([p[1] for p in parts])
-    losses = np.concatenate([p[2] for p in parts])
+    if k > 1 and not one_by_one:
+        W_old = softmax_weights(pairwise_distances(sol.Z))
+        start = _best_rows(W_old, sol.B, X_new, Y_new, sol.task)
+        return _add_batch(sol, X_new, Y_new, config, start, work)
+    copy_losses = _copy_losses(sol.X, sol.Y, sol.B, sol.Z, sol.hyperparams,
+                               sol.task, work)
+    B_new = np.empty((k, sol.B.shape[1]))
+    Z_new = np.empty((k, sol.Z.shape[1]))
+    losses = np.empty(k)
+    for i in range(k):
+        x, y = X_new[i:i + 1], Y_new[i:i + 1]
+        start = [np.argmin(copy_losses(x, y))]
+        B_new[i:i + 1], Z_new[i:i + 1], losses[i:i + 1] = _add_batch(
+            sol, x, y, config, start, work)
     return B_new, Z_new, losses

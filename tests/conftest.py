@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from slisemap.errors import DataError, NumericError, ShapeError
 from slisemap.model import TaskKind
@@ -164,6 +165,21 @@ def random_instance(task: TaskKind, n, m, d, rng, lambda_z=0.2):
     Z = rng.standard_normal((n, d))
     hp = Hyperparams(lambda_z=lambda_z, d=d)
     return X, Y, B, Z, hp
+
+
+@st.composite
+def problems(draw, max_n=8):
+    """A random instance: regression or p-class classification (p in
+    2..5), n <= max_n items, embedding width d in {1, 2, 3}."""
+    task = draw(st.one_of(st.just(TaskKind.regression()),
+                          st.integers(2, 5).map(TaskKind.classification)))
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([1, 2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    X, Y, B, Z, hp = random_instance(task, n, m, d,
+                                     np.random.default_rng(seed))
+    return task, X, Y, B, Z, hp
 
 
 def max_grad_error(analytic, numeric):

@@ -230,6 +230,25 @@ def test_criterion_9_out_of_sample_soundness(small_runs):
         f"ratio {ratio:.2f} <= 2.0")
 
 
+def test_criterion_9_readd_at_n400():
+    """Criterion 9's re-add bound on a larger fit with one escape round,
+    where the fitted neighbourhoods fit some items worse than their own
+    models do."""
+    ds, _ = generate_rsynth(RsynthSpec(n=400, m=20, seed=1))
+    config = SolverConfig(seed=1, max_outer_iters=1)
+    sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=LAMBDA_Z), REG, config)
+    contrib = row_contributions(sol.X, sol.Y, sol.B, sol.Z, sol.hyperparams,
+                                REG)
+    _, _, readd = add_new(sol, sol.X[:50], sol.Y[:50], config,
+                          one_by_one=True)
+    excess = readd - contrib[:50]
+    ok = float(excess.max()) <= 1e-4
+    assert report(
+        9, ok,
+        f"n=400 re-add: {int((excess > 1e-4).sum())}/50 rows over 1e-4, "
+        f"worst excess {float(excess.max()):.2e}")
+
+
 def test_criterion_10_determinism(tmp_path):
     blobs = []
     for name in ("one", "two"):

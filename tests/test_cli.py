@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -171,6 +172,20 @@ class TestAdd:
         rc = main(["add", "--solution", str(sol_path), "--data", str(p),
                    "--out", str(tmp_path / "a.csv")])
         assert rc == 3
+
+    def test_one_row_add_is_not_standardized_on_its_own(self, workspace,
+                                                        tmp_path):
+        _, gen, sol_path = workspace
+        one = tmp_path / "one.csv"
+        lines = (gen / "data.csv").read_text().splitlines()
+        one.write_text("\n".join(lines[:2]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["add", "--solution", str(sol_path), "--data",
+                       str(one), "--out", str(tmp_path / "a.csv")])
+        assert rc == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, UserWarning)] == []
 
     def test_one_by_one_flag(self, workspace, tmp_path):
         _, gen, sol_path = workspace

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (central_difference, hellinger_sq, linear_predict,
-                      max_grad_error, multinomial_predict, quadratic_loss,
-                      random_instance, scalar_total_loss)
+                      max_grad_error, multinomial_predict, problems,
+                      quadratic_loss, random_instance, scalar_total_loss)
 from slisemap.errors import NumericError, ShapeError
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, Workspace, _as_problem,
@@ -286,21 +286,6 @@ class TestAddedRowsObjective:
         Zc = np.vstack([Z, Z[i:i + 1]])
         ref = scalar_row_contribution(Xc, Yc, Bc, Zc, hp, REG, 4)
         assert abs(f - ref) < 1e-10
-
-
-@st.composite
-def problems(draw, max_n=8):
-    """A random instance: regression or p-class classification (p in
-    2..5), n <= max_n items, embedding width d in {1, 2, 3}."""
-    task = draw(st.one_of(st.just(REG),
-                          st.integers(2, 5).map(TaskKind.classification)))
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, 3))
-    d = draw(st.sampled_from([1, 2, 3]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    X, Y, B, Z, hp = random_instance(task, n, m, d,
-                                     np.random.default_rng(seed))
-    return task, X, Y, B, Z, hp
 
 
 def evaluate(problem, n_old=0, work=None):

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
-from conftest import random_instance, scalar_row_contribution
+from conftest import problems, random_instance, scalar_row_contribution
 from slisemap import solver
 from slisemap.data import RsynthSpec, generate_rsynth
 from slisemap.errors import NumericError, ShapeError, SlisemapError
 from slisemap.model import TaskKind
-from slisemap.objective import (Hyperparams, local_loss_matrix,
+from slisemap.objective import (Hyperparams, Workspace,
+                                added_loss_and_gradients, local_loss_matrix,
                                 pairwise_distances, softmax_weights,
                                 total_loss)
 from slisemap.solver import (Solution, SolverConfig, add_new, escape, fit,
@@ -320,6 +322,28 @@ class TestAddNew:
         for got, parts in zip(together, zip(*singles)):
             want = np.concatenate(parts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(problems(max_n=9))
+    def test_start_score_is_the_appended_loss_of_each_copy(self, problem):
+        """The start score of a single add, for every old row k, is the loss
+        of the new row as a copy of row k in the incremented problem."""
+        task, X, Y, B, Z, hp = problem
+        n = X.shape[0] - 1  # old rows; the last item is the new one
+        assume(n >= 1)
+        f = solver._copy_losses(X[:n], Y[:n], B[:n], Z[:n], hp, task,
+                                Workspace())(X[n:], Y[n:])
+        assert f.shape == (n,)
+        for k in range(n):
+            exact = scalar_row_contribution(
+                X, Y, np.vstack([B[:n], B[k]]), np.vstack([Z[:n], Z[k]]), hp,
+                task, n)
+            kernel, _, _ = added_loss_and_gradients(
+                X, Y, B[:n], Z[:n], B[k:k + 1], Z[k:k + 1], hp, task)
+            assert abs(f[k] - exact) <= 1e-12 * exact
+            # The kernel's Gram-route distance from the copy to row k is the
+            # square root of a rounding error, up to about sqrt(8 eps)|Z_k|
+            # (3e-7 here), and the loss moves by at most that share.
+            assert abs(f[k] - kernel) <= 1e-6 * kernel
 
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit
