@@ -378,7 +378,10 @@ def _add_fit_flags(p, with_lambda_z=True):
     p.add_argument("--max-outer-iters", type=_nonneg_int, default=100,
                    help="escape rounds after the first solve (0: none)")
     p.add_argument("--lbfgs-max-iters", type=_positive_int, default=500)
-    p.add_argument("--rel-tol", type=_positive_float, default=1e-6)
+    p.add_argument("--rel-tol", type=_positive_float, default=1e-6,
+                   help="relative loss tolerance of each inner L-BFGS "
+                        "solve (the escape rounds stop on their own 0.1%% "
+                        "rule)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,11 @@ from .objective import (Hyperparams, Workspace, _as_problem, _forward,
                         loss_and_gradients, pairwise_distances,
                         row_contributions, softmax_weights, total_loss)
 
+# A round of the fit loop counts as a gain only above this share of the
+# loss: smaller gains move neither the embedding nor purity visibly, and the
+# rounds that chase them cost about a fifth of a fit's evaluations.
+_ROUND_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -112,6 +117,8 @@ class Solution:
             "final_loss": self.final_loss,
             "seed": self.seed,
             "outer_iters_used": self.outer_iters_used,
+            "loss_history": list(self.loss_history),
+            "numeric_warning": self.numeric_warning,
         }
 
     def save(self, path) -> None:
@@ -123,9 +130,14 @@ class Solution:
     def from_json_dict(cls, doc: dict) -> "Solution":
         """The solution a :meth:`to_json_dict` document describes; a
         missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError."""
+        mismatched arrays a ShapeError.  ``loss_history`` and
+        ``numeric_warning`` may be absent, as in files written before they
+        were saved."""
         try:
             task = TaskKind.from_string(doc["task"])
+            numeric_warning = doc.get("numeric_warning", False)
+            if not isinstance(numeric_warning, bool):
+                raise ValueError("numeric_warning is not true or false")
             hp = Hyperparams(lambda_z=doc["lambda_z"],
                              lambda_lasso=doc["lambda_lasso"], d=doc["d"])
             return cls(
@@ -140,6 +152,8 @@ class Solution:
                     mean=np.asarray(doc["normalization"]["mean"], dtype=float),
                     std=np.asarray(doc["normalization"]["std"], dtype=float)),
                 target_names=list(doc.get("target_names", ["y"])),
+                loss_history=[float(v) for v in doc.get("loss_history", [])],
+                numeric_warning=numeric_warning,
             )
         except KeyError as exc:
             raise DataError(f"solution has no {exc.args[0]!r} key") from None
@@ -255,6 +269,14 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     """Run the full pipeline: init, minimize, escape/minimize until the
     loss stops improving, and return the best state ever observed.
 
+    A round (escape, then minimize) gains when it lowers the best loss by
+    more than 0.1% of it (``_ROUND_TOL``).  The loop stops after three
+    rounds since the last gain that each gain less than 0.1% and end within
+    1% of the best loss, after ten rounds in a row without such a gain
+    (escape may visit worse basins first), or after
+    ``config.max_outer_iters`` rounds.  ``config.rel_tol`` is the inner
+    L-BFGS tolerance only.
+
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
     when fitting plain matrices.
@@ -292,9 +314,10 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
     # An escape pass routinely makes the loss temporarily worse before a
     # later round lands in a better basin, so a non-improving round must
-    # not end the fit on its own.  Rounds that sit at the incumbent loss
-    # without improving count as convergence (three in a row stop the
-    # loop); rounds exploring clearly worse basins get a longer leash.
+    # not end the fit on its own.  Rounds that end within 1% of the
+    # incumbent loss without gaining count as convergence (three since the
+    # last gain stop the loop); rounds exploring clearly worse basins get a
+    # longer leash.
     plateau = 0
     no_gain = 0
     while len(history) - 1 < config.max_outer_iters and not numeric_warning:
@@ -310,7 +333,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         if f < best_f:
             best_B, best_Z, best_f = B, Z, f
         history.append(best_f)
-        if improvement > config.rel_tol * max(abs(best_f), abs(f), 1.0):
+        if improvement > _ROUND_TOL * max(abs(best_f), abs(f), 1.0):
             plateau = 0
             no_gain = 0
         else:

@@ -238,7 +238,10 @@ class TestMetrics:
         (lambda doc: json.dumps(
             {**doc, "B": [[float("nan")] + doc["B"][0][1:]] + doc["B"][1:]}),
          "B has non-finite entries"),
-    ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B"])
+        (lambda doc: json.dumps({**doc, "numeric_warning": "no"}),
+         "numeric_warning"),
+    ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
+            "non-boolean-numeric-warning"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace
@@ -526,6 +529,33 @@ class TestEndToEndDeterminism:
             blobs.append((sol.read_bytes(), svg.read_bytes()))
         assert blobs[0][0] == blobs[1][0]
         assert blobs[0][1] == blobs[1][1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_same_thread_count_same_bytes(self, threads, tmp_path):
+        """Two CLI fits in fresh processes under one SLISEMAP_THREADS write
+        the same solution bytes.  Fits under different thread counts may
+        differ (at n = 400 they do), so none are compared across counts."""
+        gen = tmp_path / "gen"
+        main(["generate", "--n", "60", "--m", "4", "--seed", "2",
+              "--out", str(gen)])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env["SLISEMAP_THREADS"] = threads
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        blobs = []
+        for run in ("a", "b"):
+            sol = tmp_path / f"{run}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "slisemap.cli", "fit", "--data",
+                 str(gen / "data.csv"), "--target", "y", "--lambda-z", "0.1",
+                 "--seed", "2", "--out", str(sol)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(sol.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestConsoleEntryPoint:

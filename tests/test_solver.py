@@ -257,6 +257,31 @@ class TestFit:
         assert sol.final_loss == total_loss(sol.X, sol.Y, sol.B, sol.Z, hp,
                                             REG)
 
+    # Scripted post-solve losses: the initial solve, then one per round.
+    # 0.05% gains are below the 0.1% round tolerance, 0.2% is above it,
+    # and 1100 is a basin 10% worse than the best loss.
+    SMALL = [1000.0 * (1 - 5e-4) ** k for k in range(120)]
+
+    @pytest.mark.parametrize("script, rounds", [
+        (SMALL, 3),
+        (SMALL[:3] + [s * 0.998 for s in SMALL[2:]], 6),
+        ([1000.0] + [1100.0] * 9 + [900.0] + [1100.0] * 20, 20),
+    ], ids=["three-small-gains-stop", "large-gain-resets",
+            "ten-worse-rounds-stop"])
+    def test_round_stop_rule(self, script, rounds, monkeypatch):
+        ds, _ = generate_rsynth(RsynthSpec(n=10, m=2, seed=3))
+        losses = iter(script)
+
+        def scripted_minimize(fun_and_grad, B0, Z0, hp, config):
+            return B0, Z0, next(losses)
+
+        monkeypatch.setattr(solver, "escape", lambda X, Y, B, Z, task: (B, Z))
+        monkeypatch.setattr(solver, "lbfgs_minimize", scripted_minimize)
+        sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
+                  SolverConfig(seed=3))
+        assert sol.outer_iters_used == len(sol.loss_history) == rounds + 1
+        assert sol.final_loss == min(script[:rounds + 1])
+
     def test_escape_disabled_terminates_and_is_worse(self):
         """Directional check: without the escape pass the reachable loss is
         no better, in the vast majority of seeded trials."""
@@ -284,6 +309,16 @@ class TestFit:
         assert back.task == sol.task
         assert back.column_names == sol.column_names
         assert back.seed == sol.seed
+        assert back.loss_history == sol.loss_history
+        assert back.numeric_warning == sol.numeric_warning
+
+    def test_file_without_fit_record_loads(self, small_fit):
+        _, sol = small_fit
+        doc = sol.to_json_dict()
+        del doc["loss_history"], doc["numeric_warning"]
+        back = Solution.from_json_dict(doc)
+        assert back.loss_history == [] and back.numeric_warning is False
+        assert back.final_loss == sol.final_loss
 
 
 class TestAddNew:
