@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class Solution:
     X's basis (``data.apply_normalization``).  Construction checks every
     length and shape against (X, Y), raising a ShapeError, and rejects
     non-finite entries with a DataError.
+
+    A Solution is read-only after construction: ``final_loss`` and the
+    start base of single adds (computed on the first one and kept) describe
+    the arrays it was built with.  Make a changed solution with
+    ``dataclasses.replace``, which starts without that base.
     """
 
     X: np.ndarray
@@ -94,6 +100,12 @@ class Solution:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def _start_base(self):
+        """:func:`_copy_base` of this solution, computed on first use."""
+        return _copy_base(self.X, self.Y, self.B, self.Z, self.hyperparams,
+                          self.task)
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,27 +385,24 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
     return B_new, Z_new, contrib
 
 
-def _copy_losses(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
-                 work: Workspace):
-    """The loss of one new item's row, appended to the solution (B, Z) on
-    the items (X, Y), when it is a copy of old row k, for every k.
+def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
+    """What the loss of one new item's row, appended to the solution (B, Z)
+    on the items (X, Y) as a copy of old row k, needs besides the item:
+    ``(S, w, pen)``, each of length n.
 
-    Returns a function of the item's ``(x, y)`` (one row each) giving the
-    n losses ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k``: the copy sees old
-    row k's neighbourhood plus itself at distance zero.  S_k and w_k = W_kk
-    = 1 / sum_j exp(-D_kj) come from one forward pass over the solution,
-    so each item costs one row of local losses.
+    The copy sees old row k's neighbourhood plus itself at distance zero,
+    so its loss is ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with
+    S_k = sum_j W_kj L_kj, w_k = W_kk = 1 / sum_j exp(-D_kj) and
+    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1, from one forward pass
+    over the solution.  The arrays are read-only.
     """
-    S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, work)
+    S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
     w = np.diagonal(W).copy()
     pen = hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
-
-    def losses(x, y):
-        return (S + w * local_loss_matrix(B, x, y, task)[:, 0]) / (1.0 + w) \
-            + pen
-
-    return losses
+    for a in (S, w, pen):
+        a.setflags(write=False)
+    return S, w, pen
 
 
 def add_new(sol: Solution, X_new, Y_new,
@@ -415,7 +424,9 @@ def add_new(sol: Solution, X_new, Y_new,
               + lambda_lasso |B_k|_1,
 
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
-    k on the point; S and w come from one n x n forward pass per call.  A
+    k on the point.  S, w and the penalties come from one n x n forward
+    pass, made once per Solution, on its first single add; each point's
+    start then costs one row of local losses, O(n m).  A
     training row added again thus starts no worse than its own copy.  The
     rows of a joint batch start from the old row whose neighbourhood fits
     their item best, ``argmin_k (W @ L)[k, i]`` as in :func:`escape`: f
@@ -429,14 +440,14 @@ def add_new(sol: Solution, X_new, Y_new,
         W_old = softmax_weights(pairwise_distances(sol.Z))
         start = _best_rows(W_old, sol.B, X_new, Y_new, sol.task)
         return _add_batch(sol, X_new, Y_new, config, start, work)
-    copy_losses = _copy_losses(sol.X, sol.Y, sol.B, sol.Z, sol.hyperparams,
-                               sol.task, work)
+    S, w, pen = sol._start_base
     B_new = np.empty((k, sol.B.shape[1]))
     Z_new = np.empty((k, sol.Z.shape[1]))
     losses = np.empty(k)
     for i in range(k):
         x, y = X_new[i:i + 1], Y_new[i:i + 1]
-        start = [np.argmin(copy_losses(x, y))]
+        L = local_loss_matrix(sol.B, x, y, sol.task)[:, 0]
+        start = [np.argmin((S + w * L) / (1.0 + w) + pen)]
         B_new[i:i + 1], Z_new[i:i + 1], losses[i:i + 1] = _add_batch(
             sol, x, y, config, start, work)
     return B_new, Z_new, losses

@@ -1,6 +1,7 @@
 """Tests for initialization, the escape heuristic, the fit loop, solution
 serialization and out-of-sample addition."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -9,14 +10,13 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import problems, random_instance, scalar_row_contribution
-from slisemap import solver
+from slisemap import objective, solver
 from slisemap.data import RsynthSpec, generate_rsynth
 from slisemap.errors import NumericError, ShapeError, SlisemapError
 from slisemap.model import TaskKind
-from slisemap.objective import (Hyperparams, Workspace,
-                                added_loss_and_gradients, local_loss_matrix,
-                                pairwise_distances, softmax_weights,
-                                total_loss)
+from slisemap.objective import (Hyperparams, added_loss_and_gradients,
+                                local_loss_matrix, pairwise_distances,
+                                softmax_weights, total_loss)
 from slisemap.solver import (Solution, SolverConfig, add_new, escape, fit,
                              init, lbfgs_minimize, pca_scores,
                              row_contributions)
@@ -358,6 +358,65 @@ class TestAddNew:
             want = np.concatenate(parts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_single_adds_share_one_forward_pass(self, small_fit,
+                                                monkeypatch):
+        """Three single adds on one Solution make one forward pass over its
+        n rows in all, and give the bytes of the same adds on fresh copies
+        of the solution."""
+        _, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        new, _ = generate_rsynth(RsynthSpec(n=3, m=4, seed=12))
+        config = SolverConfig(seed=11)
+        passes = []
+
+        def counting(forward):
+            def wrapped(X, Y, B, Z, Z_old, task, work):
+                if B.shape[0] == sol.n:
+                    passes.append(B.shape[0])
+                return forward(X, Y, B, Z, Z_old, task, work)
+            return wrapped
+
+        for module in (solver, objective):
+            monkeypatch.setattr(module, "_forward",
+                                counting(module._forward))
+        got = [add_new(sol, new.X[i:i + 1], new.Y[i:i + 1], config)
+               for i in range(3)]
+        assert passes == [sol.n]
+        for i, out in enumerate(got):
+            fresh = Solution.from_json_dict(sol.to_json_dict())
+            want = add_new(fresh, new.X[i:i + 1], new.Y[i:i + 1], config)
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
+
+    def test_start_base_stays_with_its_solution(self, small_fit):
+        """The start base kept by a single add is neither saved nor
+        compared, and a solution made from another by
+        ``dataclasses.replace`` starts from its own arrays."""
+        _, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        config = SolverConfig(seed=11)
+        keys = sorted(sol.to_json_dict())
+        add_new(sol, sol.X[3:4], sol.Y[3:4], config)
+        doc = sol.to_json_dict()
+        assert sorted(doc) == keys
+        assert doc == Solution.from_json_dict(doc).to_json_dict()
+
+        B2 = sol.B.copy()
+        B2[3] = 3.0 * B2[3] + 1.0
+        changed = dataclasses.replace(sol, B=B2)
+        copy = Solution.from_json_dict(changed.to_json_dict())
+        moved = 0
+        for i in (3, 4, 5):  # row 3 is point 5's cheapest copy in sol
+            x, y = sol.X[i:i + 1], sol.Y[i:i + 1]
+            got = [a.tobytes() for a in add_new(changed, x, y, config)]
+            want = [a.tobytes() for a in add_new(copy, x, y, config)]
+            assert got == want
+            moved += got != [a.tobytes() for a in add_new(sol, x, y, config)]
+        assert moved > 0
+        own = solver._copy_base(changed.X, changed.Y, B2, changed.Z,
+                                changed.hyperparams, changed.task)
+        assert [a.tobytes() for a in changed._start_base] == \
+            [a.tobytes() for a in own]
+
     @given(problems(max_n=9))
     def test_start_score_is_the_appended_loss_of_each_copy(self, problem):
         """The start score of a single add, for every old row k, is the loss
@@ -365,8 +424,9 @@ class TestAddNew:
         task, X, Y, B, Z, hp = problem
         n = X.shape[0] - 1  # old rows; the last item is the new one
         assume(n >= 1)
-        f = solver._copy_losses(X[:n], Y[:n], B[:n], Z[:n], hp, task,
-                                Workspace())(X[n:], Y[n:])
+        S, w, pen = solver._copy_base(X[:n], Y[:n], B[:n], Z[:n], hp, task)
+        L = local_loss_matrix(B[:n], X[n:], Y[n:], task)[:, 0]
+        f = (S + w * L) / (1.0 + w) + pen
         assert f.shape == (n,)
         for k in range(n):
             exact = scalar_row_contribution(

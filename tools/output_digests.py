@@ -5,9 +5,11 @@ Each line holds sha256 prefixes of ``solver.fit``'s B, Z, final loss, loss
 history and round count; of ``solver.escape`` at the fitted solution; of
 ``metrics.compute_report`` at k = 5, 10, 25, 50 with labels; and of
 ``solver.add_new`` of 20 fresh points as one batch and of 10 fresh points
-one by one.  Two commits whose lines are equal give bit-identical outputs
-on these inputs.  The training sets and fresh points are those of
-``benchmarks/workloads.make_problems(wl, 1)``.
+one by one.  The same 10 points are also added with 10 separate single-row
+calls on the one solution, and the script raises if their bytes differ from
+the ``one_by_one`` call.  Two commits whose lines are equal give
+bit-identical outputs on these inputs.  The training sets and fresh points
+are those of ``benchmarks/workloads.make_problems(wl, 1)``.
 
     python3 tools/output_digests.py
 
@@ -22,6 +24,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
@@ -46,6 +50,12 @@ def digest_line(p) -> str:
                            p.config)
     single = solver.add_new(sol, p.X_new[:N_SINGLE], p.Y_new[:N_SINGLE],
                             p.config, one_by_one=True)
+    calls = [solver.add_new(sol, p.X_new[i:i + 1], p.Y_new[i:i + 1],
+                            p.config) for i in range(N_SINGLE)]
+    if [np.concatenate(parts).tobytes() for parts in zip(*calls)] != \
+            [a.tobytes() for a in single]:
+        raise AssertionError("single-row add_new calls differ from the "
+                             "one_by_one call")
     return " ".join([
         "fit", digest(sol.B, sol.Z, sol.final_loss, sol.loss_history,
                       sol.outer_iters_used),
