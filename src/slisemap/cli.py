@@ -1,9 +1,12 @@
 """Command-line pipeline: generate, fit, add, metrics, sweep, plot, export.
 
 Every run writes a JSON manifest next to its outputs recording the resolved
-parameters, input/output checksums and wall-clock duration, so any output
-can be reproduced bit-identically from its manifest under the same
-SLISEMAP_THREADS and numpy/BLAS build.
+parameters, input/output checksums, wall-clock duration, package and numpy
+versions and the thread variables, so any output can be reproduced
+bit-identically from its manifest under the same SLISEMAP_THREADS and
+numpy/BLAS build.  Each ``cmd_*`` returns ``(manifest_path, inputs,
+outputs)``, or None when it wrote nothing, and :func:`main` times the
+command and writes the manifest.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -11,15 +14,16 @@ Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import data as datamod
 from . import metrics as metricsmod
 from . import plotting
@@ -29,6 +33,8 @@ from .model import TaskKind
 from .objective import Hyperparams, local_loss_matrix
 
 PROG = "slisemap"
+THREAD_VARIABLES = ("SLISEMAP_THREADS", "OPENBLAS_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path) -> str:
@@ -39,56 +45,45 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _write_manifest(manifest_path, command, params, inputs, outputs, started):
+def _write_manifest(args, manifest_path, inputs, outputs, started):
+    params = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": params.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "duration_seconds": time.perf_counter() - started,
+        "versions": {"slisemap": __version__, "numpy": np.__version__},
+        "thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def _positive_float(text):
-    v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return v
+def _bounded(name, kind, op, low):
+    """The argparse type ``name``: a ``kind`` (int or float) that is
+    ``> low`` (``op`` ">") or ``>= low`` (">="); NaN is neither."""
+    def parse(text):
+        v = kind(text)
+        if not (v > low if op == ">" else v >= low):
+            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        return v
+    parse.__name__ = name  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _nonneg_float(text):
-    v = float(text)
-    if not v >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return v
-
-
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return v
-
-
-def _nonneg_int(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return v
+_positive_float = _bounded("_positive_float", float, ">", 0)
+_nonneg_float = _bounded("_nonneg_float", float, ">=", 0)
+_positive_int = _bounded("_positive_int", int, ">=", 1)
+_nonneg_int = _bounded("_nonneg_int", int, ">=", 0)
 
 
 def _task_from_args(args) -> TaskKind:
     if args.task == "classification":
         n_classes = len(args.target)
-        if getattr(args, "one_hot", False):
+        if args.one_hot:
             if args.n_classes is None:
                 raise DataError("--one-hot needs --n-classes")
             n_classes = args.n_classes
@@ -98,26 +93,17 @@ def _task_from_args(args) -> TaskKind:
     return TaskKind(args.task)
 
 
-def _solver_config(args) -> solvermod.SolverConfig:
-    return solvermod.SolverConfig(
-        max_outer_iters=args.max_outer_iters,
-        lbfgs_max_iters=args.lbfgs_max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
-
-
 def _load_for_fit(args, task: TaskKind) -> datamod.Dataset:
-    ds = datamod.load_csv(args.data, args.target, task,
-                          label_column=args.label_column,
-                          one_hot=getattr(args, "one_hot", False))
-    if args.subsample is not None:
-        ds = datamod.subsample(ds, args.subsample, args.seed)
-    return ds
+    return datamod.load_csv(args.data, args.target, task,
+                            label_column=args.label_column,
+                            one_hot=args.one_hot)
 
 
 def _fit_dataset(ds: datamod.Dataset, task: TaskKind, hp: Hyperparams,
-                 config: solvermod.SolverConfig) -> solvermod.Solution:
+                 args, seed: int) -> solvermod.Solution:
+    config = solvermod.SolverConfig(max_outer_iters=args.max_outer_iters,
+                                    lbfgs_max_iters=args.lbfgs_max_iters,
+                                    rel_tol=args.rel_tol, seed=seed)
     Y_train = datamod.training_response(ds.Y, task)
     return solvermod.fit(ds.X, Y_train, hp, task, config,
                          column_names=ds.column_names,
@@ -137,8 +123,7 @@ def _coef_names(sol: solvermod.Solution) -> list[str]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    started = time.perf_counter()
+def cmd_generate(args):
     spec = datamod.RsynthSpec(n=args.n, m=args.m, k_clusters=args.k_clusters,
                               cluster_std=args.cluster_std,
                               noise_std=args.noise_std, seed=args.seed)
@@ -150,47 +135,38 @@ def cmd_generate(args) -> int:
     coefs_path = out / "true_coefs.csv"
     datamod.write_csv(data_path, ds.column_names + ["y"],
                       np.hstack([ds.X_raw, ds.Y]))
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"])
-        for v in ds.labels:
-            writer.writerow([int(v)])
+    datamod.write_csv(labels_path, ["label"], ds.labels[:, None])
     datamod.write_csv(coefs_path, ds.column_names, beta)
-    _write_manifest(out / "manifest.json", "generate", _params(args), [],
-                    [data_path, labels_path, coefs_path], started)
     print(f"wrote {data_path} ({spec.n} rows, {spec.m} features, "
           f"{spec.k_clusters} clusters)")
-    return 0
+    return out / "manifest.json", [], [data_path, labels_path, coefs_path]
 
 
-def cmd_fit(args) -> int:
-    started = time.perf_counter()
+def cmd_fit(args):
     task = _task_from_args(args)
     hp = Hyperparams(lambda_z=args.lambda_z, lambda_lasso=args.lambda_lasso,
                      d=args.d)
     ds = _load_for_fit(args, task)
-    sol = _fit_dataset(ds, task, hp, _solver_config(args))
+    ds = datamod.subsample(ds, args.subsample or ds.n, args.seed)
+    sol = _fit_dataset(ds, task, hp, args, args.seed)
     sol.save(args.out)
     if float(np.linalg.norm(sol.Z, axis=1).max()) < 0.1:
         print(f"{PROG}: warning: embedding collapsed toward the origin "
               "(max row norm < 0.1); lambda-z is probably too large",
               file=sys.stderr)
-    _write_manifest(str(args.out) + ".manifest.json", "fit", _params(args),
-                    [args.data], [args.out], started)
     print(f"final loss {sol.final_loss:.6g} after {sol.outer_iters_used} "
           f"outer iterations (n={sol.n})")
-    return 0
+    return str(args.out) + ".manifest.json", [args.data], [args.out]
 
 
-def cmd_add(args) -> int:
-    started = time.perf_counter()
+def cmd_add(args):
     sol = solvermod.Solution.load(args.solution)
     with open(args.data, "r", encoding="utf-8") as fh:
         n_lines = sum(1 for line in fh if line.strip())
     if n_lines <= 1:
         print(f"{PROG}: warning: {args.data} has no data rows; nothing to add",
               file=sys.stderr)
-        return 0
+        return None
     X_raw, Y, names, _, _ = datamod.read_columns(
         args.data, sol.target_names, sol.task,
         one_hot=datamod.one_hot_column(sol.target_names) is not None)
@@ -210,15 +186,13 @@ def cmd_add(args) -> int:
     rows = np.hstack([np.arange(len(losses))[:, None], Z_new, B_new,
                       losses[:, None]])
     datamod.write_csv(args.out, header, rows)
-    _write_manifest(str(args.out) + ".manifest.json", "add", _params(args),
-                    [args.solution, args.data], [args.out], started)
     print(f"added {len(losses)} points; mean loss contribution "
           f"{losses.mean():.6g}")
-    return 0
+    return (str(args.out) + ".manifest.json", [args.solution, args.data],
+            [args.out])
 
 
-def cmd_metrics(args) -> int:
-    started = time.perf_counter()
+def cmd_metrics(args):
     sol = solvermod.Solution.load(args.solution)
     labels = None
     inputs = [args.solution]
@@ -232,12 +206,10 @@ def cmd_metrics(args) -> int:
     out_csv = out_json.with_suffix(".csv")
     report.save_json(out_json)
     report.save_csv(out_csv)
-    _write_manifest(str(out_json) + ".manifest.json", "metrics",
-                    _params(args), inputs, [out_json, out_csv], started)
     for metric, k, v in report.rows():
         suffix = f" (k={k})" if k != "" else ""
         print(f"{metric}{suffix}: {v:.6g}")
-    return 0
+    return str(out_json) + ".manifest.json", inputs, [out_json, out_csv]
 
 
 def _read_labels(path, n: int) -> np.ndarray:
@@ -249,19 +221,18 @@ def _read_labels(path, n: int) -> np.ndarray:
     return table[:, 0].astype(int)
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args):
     metricsmod.check_quantile(args.quantile)
     task = _task_from_args(args)
+    full = _load_for_fit(args, task)
     rows = []
     for idx, lz in enumerate(args.lambda_z):
         seed = args.seed + idx
-        fit_args = argparse.Namespace(**{**vars(args), "seed": seed})
-        ds = _load_for_fit(fit_args, task)
+        ds = datamod.subsample(full, args.subsample or full.n, seed)
         for k in args.k or ():
             metricsmod.check_k(k, ds.n)
         hp = Hyperparams(lambda_z=lz, lambda_lasso=args.lambda_lasso, d=args.d)
-        sol = _fit_dataset(ds, task, hp, _solver_config(fit_args))
+        sol = _fit_dataset(ds, task, hp, args, seed)
         ks = args.k if args.k else [k for k in (5, 10, 25, 50) if k < sol.n]
         report = metricsmod.compute_report(sol, ks, quantile=args.quantile)
         for k in ks:
@@ -269,22 +240,14 @@ def cmd_sweep(args) -> int:
                          report.fidelity_point, report.coverage_full,
                          report.threshold_l0, sol.final_loss, seed])
         print(f"lambda_z={lz:g}: final loss {sol.final_loss:.6g}")
-    header = ["lambda_z", "k", "fidelity_knn", "coverage_knn",
-              "fidelity_point", "coverage_full", "threshold_l0",
-              "final_loss", "seed"]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
-    _write_manifest(str(args.out) + ".manifest.json", "sweep", _params(args),
-                    [args.data], [args.out], started)
-    return 0
+    datamod.write_csv(args.out, ["lambda_z", "k", "fidelity_knn",
+                                 "coverage_knn", "fidelity_point",
+                                 "coverage_full", "threshold_l0",
+                                 "final_loss", "seed"], rows)
+    return str(args.out) + ".manifest.json", [args.data], [args.out]
 
 
-def cmd_plot(args) -> int:
-    started = time.perf_counter()
+def cmd_plot(args):
     sol = solvermod.Solution.load(args.solution)
     inputs = [args.solution]
     mode = args.color_by
@@ -324,14 +287,11 @@ def cmd_plot(args) -> int:
         with open(args.models_out, "w", encoding="utf-8") as fh:
             fh.write(panels)
         outputs.append(args.models_out)
-    _write_manifest(str(args.out) + ".manifest.json", "plot", _params(args),
-                    inputs, outputs, started)
     print(f"wrote {args.out}")
-    return 0
+    return str(args.out) + ".manifest.json", inputs, outputs
 
 
-def cmd_export(args) -> int:
-    started = time.perf_counter()
+def cmd_export(args):
     sol = solvermod.Solution.load(args.solution)
     d = sol.Z.shape[1]
     header = ["index"]
@@ -343,10 +303,8 @@ def cmd_export(args) -> int:
         header += _coef_names(sol)
         blocks.append(sol.B)
     datamod.write_csv(args.out, header, np.hstack(blocks))
-    _write_manifest(str(args.out) + ".manifest.json", "export",
-                    _params(args), [args.solution], [args.out], started)
     print(f"wrote {args.out}")
-    return 0
+    return str(args.out) + ".manifest.json", [args.solution], [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        written = args.func(args)
+        if written is not None:
+            _write_manifest(args, *written, started)
+        return 0
     except NumericError as exc:
         print(f"{PROG}: error: numeric: {exc}", file=sys.stderr)
         return 4

@@ -270,14 +270,16 @@ def load_csv(path, target_columns, task: TaskKind, *,
                    labels=labels)
 
 
-def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
-    """Write a numeric table with full binary64 round-trip precision."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a table, one list or array per row: floats (numpy ones
+    included) as ``repr(float(v))``, with full binary64 round-trip
+    precision, and other values as they print."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v
+             for v in row] for row in rows)
 
 
 def subsample(ds: Dataset, n0: int, seed: int) -> Dataset:

@@ -9,7 +9,6 @@ the smaller index.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import lbfgs, objective
+from .data import write_csv
 from .errors import ShapeError, SlisemapError
 from .model import TaskKind
 from .objective import local_loss_matrix, pairwise_distances, \
@@ -64,11 +64,7 @@ class MetricReport:
         return out
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "k", "value"])
-            for metric, k, v in self.rows():
-                writer.writerow([metric, k, repr(float(v))])
+        write_csv(path, ["metric", "k", "value"], self.rows())
 
 
 def fit_global_model(X, Y, task: TaskKind, *, lambda_lasso: float = 1e-4,

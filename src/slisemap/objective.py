@@ -340,7 +340,7 @@ def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
     return _evaluate(X, Y, B, Z, Z_old, hp, task, work, "total loss")
 
 
-def added_loss_and_gradients(X_all, Y_all, B_old, Z_old, B_new, Z_new,
+def added_loss_and_gradients(X_all, Y_all, Z_old, B_new, Z_new,
                              hp: Hyperparams, task: TaskKind,
                              work: Workspace | None = None):
     """Loss of appended rows against a frozen base, with gradients.

@@ -50,7 +50,7 @@ class SolverConfig:
             raise ValueError("rel_tol must be > 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     """A fitted model: data, local models, embedding and bookkeeping.
 
@@ -65,6 +65,9 @@ class Solution:
     start base of single adds (computed on the first one and kept) describe
     the arrays it was built with.  Make a changed solution with
     ``dataclasses.replace``, which starts without that base.
+
+    Equality is identity (``a == b`` only when ``a is b``): compare two
+    solutions by their ``to_json_dict()`` documents.
     """
 
     X: np.ndarray
@@ -375,8 +378,8 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
     hp, task = sol.hyperparams, sol.task
 
     def fun_and_grad(Bn, Zn):
-        return added_loss_and_gradients(Xc, Yc, sol.B, sol.Z, Bn, Zn, hp,
-                                        task, work=work)
+        return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
+                                        work=work)
 
     B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[start],
                                      sol.Z[start], hp, config)

@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line pipeline in temp directories."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slisemap import solver
+import slisemap
+from slisemap import data, solver
 from slisemap.cli import main
 from slisemap.solver import Solution
 
@@ -422,6 +425,117 @@ class TestExport:
         B = np.array([[float(v) for v in r[3:]] for r in rows])
         assert Z.tobytes() == sol.Z.tobytes()
         assert B.tobytes() == sol.B.tobytes()
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifest:
+    def test_checksums_are_those_of_the_files_on_disk(self, workspace,
+                                                      tmp_path):
+        root, gen, sol = workspace
+        data_csv, labels = str(gen / "data.csv"), str(gen / "labels.csv")
+        t = str(tmp_path)
+        runs = {
+            "generate": (None, gen / "manifest.json", [],
+                         [f"{gen}/data.csv", f"{gen}/labels.csv",
+                          f"{gen}/true_coefs.csv"]),
+            "fit": (None, f"{sol}.manifest.json", [data_csv], [str(sol)]),
+            "metrics": (["--solution", str(sol), "--k", "5", "--labels",
+                         labels, "--out", f"{t}/r.json"],
+                        f"{t}/r.json.manifest.json", [str(sol), labels],
+                        [f"{t}/r.json", f"{t}/r.csv"]),
+            "add": (["--solution", str(sol), "--data", data_csv,
+                     "--out", f"{t}/a.csv"],
+                    f"{t}/a.csv.manifest.json", [str(sol), data_csv],
+                    [f"{t}/a.csv"]),
+            "sweep": (["--data", data_csv, "--target", "y", "--lambda-z",
+                       "0.1", "--subsample", "20", "--k", "5",
+                       "--max-outer-iters", "0", "--out", f"{t}/s.csv"],
+                      f"{t}/s.csv.manifest.json", [data_csv], [f"{t}/s.csv"]),
+            "plot": (["--solution", str(sol), "--out", f"{t}/p.svg",
+                      "--models-out", f"{t}/m.svg"],
+                     f"{t}/p.svg.manifest.json", [str(sol)],
+                     [f"{t}/p.svg", f"{t}/m.svg"]),
+            "export": (["--solution", str(sol), "--out", f"{t}/e.csv"],
+                       f"{t}/e.csv.manifest.json", [str(sol)],
+                       [f"{t}/e.csv"]),
+        }
+        for command, (argv, manifest, inputs, outputs) in runs.items():
+            if argv is not None:
+                assert main([command] + argv) == 0
+            doc = json.loads(Path(manifest).read_text())
+            assert doc["command"] == command
+            assert doc["inputs"] == {p: sha256(p) for p in inputs}, command
+            assert doc["outputs"] == {p: sha256(p) for p in outputs}, command
+
+    def test_header_only_add_writes_no_manifest(self, workspace, tmp_path):
+        _, _, sol_path = workspace
+        p = tmp_path / "empty.csv"
+        p.write_text("x1,x2,x3,x4,y\n")
+        assert main(["add", "--solution", str(sol_path), "--data", str(p),
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["empty.csv"]
+
+    def test_records_versions_and_thread_variables(self, workspace, tmp_path,
+                                                   monkeypatch):
+        _, _, sol_path = workspace
+        monkeypatch.setenv("SLISEMAP_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "e.csv"
+        assert main(["export", "--solution", str(sol_path),
+                     "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert doc["versions"] == {"slisemap": slisemap.__version__,
+                                   "numpy": np.__version__}
+        assert doc["thread_variables"] == {
+            "SLISEMAP_THREADS": "1", "OPENBLAS_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+    def test_sweep_parses_its_data_once(self, workspace, tmp_path,
+                                        monkeypatch):
+        _, gen, _ = workspace
+        calls = []
+        load_csv = data.load_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(data, "load_csv", counting)
+        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                   "--lambda-z", "0.05", "--lambda-z", "0.2",
+                   "--subsample", "20", "--max-outer-iters", "0",
+                   "--k", "5", "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert calls == [str(gen / "data.csv")]
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda-z", "0"], "must be > 0, got 0"),
+        (["--lambda-z", "nan"], "must be > 0, got nan"),
+        (["--lambda-z", "x"], "invalid _positive_float value: 'x'"),
+        (["--lambda-lasso", "-1"], "must be >= 0, got -1"),
+        (["--lambda-lasso", "nan"], "must be >= 0, got nan"),
+        (["--d", "0"], "must be >= 1, got 0"),
+        (["--d", "1.5"], "invalid _positive_int value: '1.5'"),
+        (["--max-outer-iters", "-1"], "must be >= 0, got -1"),
+        (["--max-outer-iters", "x"], "invalid _nonneg_int value: 'x'"),
+    ])
+    def test_out_of_range_is_usage_error(self, argv, message, tmp_path,
+                                         capsys):
+        base = ["fit", "--data", "d.csv", "--target", "y",
+                "--out", str(tmp_path / "s.json")]
+        if argv[0] != "--lambda-z":
+            base += ["--lambda-z", "0.1"]
+        with pytest.raises(SystemExit) as exc:
+            main(base + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def write_classification_csv(path, n=40, seed=0):

@@ -245,3 +245,11 @@ class TestWriteCsv:
         write_csv(p, ["a", "b", "c"], vals)
         back = load_csv(p, "c", TaskKind.regression())
         assert np.hstack([back.X_raw, back.Y]).tobytes() == vals.tobytes()
+
+    def test_floats_as_repr_other_values_as_printed(self, tmp_path):
+        p = tmp_path / "m.csv"
+        write_csv(p, ["name", "k", "v"],
+                  [["a", 5, 0.1], ("b", np.int64(7), np.float64(1 / 3)),
+                   ["c", "", np.float32(0.5)]])
+        assert p.read_text() == ("name,k,v\na,5,0.1\n"
+                                 "b,7,0.3333333333333333\nc,,0.5\n")

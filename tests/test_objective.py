@@ -196,7 +196,7 @@ class TestTotalLoss:
         lambda X, Y, B, Z, hp: total_loss(X, Y, B, Z, hp, REG),
         lambda X, Y, B, Z, hp: loss_and_gradients(X, Y, B, Z, hp, REG),
         lambda X, Y, B, Z, hp: added_loss_and_gradients(
-            X, Y, B[:2], Z[:2], B[2:], Z[2:], hp, REG),
+            X, Y, Z[:2], B[2:], Z[2:], hp, REG),
     ], ids=["total_loss", "loss_and_gradients", "added_loss_and_gradients"])
     def test_non_finite_names_term(self, loss, rng):
         X, Y, B, Z, hp = random_instance(REG, 4, 3, 2, rng)
@@ -257,15 +257,15 @@ class TestAddedRowsObjective:
         for task in (REG, TaskKind.classification(3)):
             n_old, n_new, m = 5, 2, 3
             X, Y, B, Z, hp = random_instance(task, n_old + n_new, m, 2, rng)
-            B_old, B_new = B[:n_old], B[n_old:]
+            B_new = B[n_old:]
             Z_old, Z_new = Z[:n_old], Z[n_old:]
 
             def value(Bn, Zn):
                 return added_loss_and_gradients(
-                    X, Y, B_old, Z_old, Bn, Zn, hp, task)[0]
+                    X, Y, Z_old, Bn, Zn, hp, task)[0]
 
             f, gB, gZ = added_loss_and_gradients(
-                X, Y, B_old, Z_old, B_new, Z_new, hp, task)
+                X, Y, Z_old, B_new, Z_new, hp, task)
             fdB = central_difference(lambda v: value(v, Z_new), B_new)
             fdZ = central_difference(lambda v: value(B_new, v), Z_new)
             assert max_grad_error(gB, fdB) < 1e-4
@@ -280,7 +280,7 @@ class TestAddedRowsObjective:
         i = 1
         Xc = np.vstack([X, X[i:i + 1]])
         Yc = np.vstack([Y, Y[i:i + 1]])
-        f, _, _ = added_loss_and_gradients(Xc, Yc, B, Z, B[i:i + 1],
+        f, _, _ = added_loss_and_gradients(Xc, Yc, Z, B[i:i + 1],
                                            Z[i:i + 1], hp, REG)
         Bc = np.vstack([B, B[i:i + 1]])
         Zc = np.vstack([Z, Z[i:i + 1]])
@@ -293,8 +293,8 @@ def evaluate(problem, n_old=0, work=None):
     task, X, Y, B, Z, hp = problem
     if n_old == 0:
         return loss_and_gradients(X, Y, B, Z, hp, task, work=work)
-    return added_loss_and_gradients(X, Y, B[:n_old], Z[:n_old], B[n_old:],
-                                    Z[n_old:], hp, task, work=work)
+    return added_loss_and_gradients(X, Y, Z[:n_old], B[n_old:], Z[n_old:],
+                                    hp, task, work=work)
 
 
 def assert_bit_identical(a, b):
@@ -316,7 +316,7 @@ class TestKernelProperties:
     @given(problems())
     def test_no_frozen_rows_is_the_full_problem(self, problem):
         task, X, Y, B, Z, hp = problem
-        added = added_loss_and_gradients(X, Y, B[:0], Z[:0], B, Z, hp, task)
+        added = added_loss_and_gradients(X, Y, Z[:0], B, Z, hp, task)
         assert_bit_identical(added, loss_and_gradients(X, Y, B, Z, hp, task))
 
     @given(problems())
@@ -401,7 +401,7 @@ ENTRY_POINTS = {
         row_contributions(X, Y, B, Z, hp, REG),
     "escape": lambda X, Y, B, Z, Z_old, hp: escape(X, Y, B, Z, REG),
     "added_loss_and_gradients": lambda X, Y, B, Z, Z_old, hp:
-        added_loss_and_gradients(X, Y, None, Z_old, B, Z, hp, REG),
+        added_loss_and_gradients(X, Y, Z_old, B, Z, hp, REG),
     "row_contributions_appended": lambda X, Y, B, Z, Z_old, hp:
         row_contributions(X, Y, B, Z, hp, REG, Z_old=Z_old),
 }

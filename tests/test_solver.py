@@ -312,6 +312,13 @@ class TestFit:
         assert back.loss_history == sol.loss_history
         assert back.numeric_warning == sol.numeric_warning
 
+    def test_equality_is_identity(self, small_fit):
+        _, sol = small_fit
+        copy = Solution.from_json_dict(sol.to_json_dict())
+        assert sol == sol
+        assert (sol == copy) is False and sol != copy
+        assert copy.to_json_dict() == sol.to_json_dict()
+
     def test_file_without_fit_record_loads(self, small_fit):
         _, sol = small_fit
         doc = sol.to_json_dict()
@@ -433,7 +440,7 @@ class TestAddNew:
                 X, Y, np.vstack([B[:n], B[k]]), np.vstack([Z[:n], Z[k]]), hp,
                 task, n)
             kernel, _, _ = added_loss_and_gradients(
-                X, Y, B[:n], Z[:n], B[k:k + 1], Z[k:k + 1], hp, task)
+                X, Y, Z[:n], B[k:k + 1], Z[k:k + 1], hp, task)
             assert abs(f[k] - exact) <= 1e-12 * exact
             # The kernel's Gram-route distance from the copy to row k is the
             # square root of a rounding error, up to about sqrt(8 eps)|Z_k|

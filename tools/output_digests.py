@@ -11,6 +11,11 @@ the ``one_by_one`` call.  Two commits whose lines are equal give
 bit-identical outputs on these inputs.  The training sets and fresh points
 are those of ``benchmarks/workloads.make_problems(wl, 1)``.
 
+The last line, ``cli``, runs the command-line pipeline (``generate`` at
+n = 60, ``fit``, ``metrics``, ``add``, ``sweep --subsample``, ``export`` and
+``plot``) in a temporary directory and holds a sha256 prefix of every file
+it writes except the manifests, which record paths and a wall time.
+
     python3 tools/output_digests.py
 
 BLAS runs on one thread, since its thread count changes the outputs.
@@ -21,8 +26,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -31,7 +40,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
-from slisemap import metrics, solver  # noqa: E402
+from slisemap import cli, metrics, solver  # noqa: E402
 
 N_BATCH = 20
 N_SINGLE = 10
@@ -64,11 +73,43 @@ def digest_line(p) -> str:
         "add", f"{digest(*batch)}/{digest(*single)}"])
 
 
+def cli_line() -> str:
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        gen, sol = root / "gen", root / "sol.json"
+        data = ["--data", gen / "data.csv", "--target", "y", "--seed", "1"]
+        labels = ["--labels", gen / "labels.csv"]
+        for argv in (
+                ["generate", "--n", "60", "--m", "4", "--seed", "1",
+                 "--out", gen],
+                ["fit", *data, "--lambda-z", "0.1", "--out", sol],
+                ["metrics", "--solution", sol, "--k", "5", "--k", "10",
+                 *labels, "--out", root / "report.json"],
+                ["add", "--solution", sol, "--data", gen / "data.csv",
+                 "--out", root / "added.csv"],
+                ["sweep", *data, "--lambda-z", "0.05", "--lambda-z", "0.2",
+                 "--subsample", "40", "--k", "5", "--out", root / "sweep.csv"],
+                ["export", "--solution", sol, "--out", root / "export.csv"],
+                ["plot", "--solution", sol, "--color-by", "label", *labels,
+                 "--out", root / "plot.svg", "--models-out",
+                 root / "models.svg"]):
+            if cli.main([str(a) for a in argv]) != 0:
+                raise AssertionError(f"slisemap {argv[0]} failed")
+        files = sorted(p for p in root.rglob("*")
+                       if p.is_file() and not p.name.endswith("manifest.json"))
+        return " ".join(
+            f"{p.relative_to(root).as_posix()} "
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()[:16]}"
+            for p in files)
+
+
 def main() -> None:
     for name in ("clf200", "reg200-seeds"):
         wl = workloads.WORKLOADS[name]
         for seed, p in zip(wl.train_seeds, workloads.make_problems(wl, 1)):
             print(f"{name} seed {seed}: {digest_line(p)}", flush=True)
+    print(f"cli: {cli_line()}", flush=True)
 
 
 if __name__ == "__main__":
