@@ -371,7 +371,9 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
     """Optimize the new rows jointly against the frozen old solution, new
     row i starting as a copy of old row ``start[i]``.
 
-    ``work`` lends the solve its buffers.
+    ``work`` lends the solve its buffers.  The loss of a single new row is
+    its whole contribution, so the solve's value is returned as it is; the
+    rows of a joint batch get theirs from one more forward pass.
     """
     Xc = np.vstack([sol.X, X_new])
     Yc = np.vstack([sol.Y, Y_new])
@@ -381,8 +383,10 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
         return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
                                         work=work)
 
-    B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[start],
+    B_new, Z_new, f = lbfgs_minimize(fun_and_grad, sol.B[start],
                                      sol.Z[start], hp, config)
+    if len(start) == 1:
+        return B_new, Z_new, np.array([f])
     contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
                                 work=work)
     return B_new, Z_new, contrib

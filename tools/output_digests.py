@@ -7,7 +7,8 @@ history and round count; of ``solver.escape`` at the fitted solution; of
 ``solver.add_new`` of 20 fresh points as one batch and of 10 fresh points
 one by one.  The same 10 points are also added with 10 separate single-row
 calls on the one solution, and the script raises if their bytes differ from
-the ``one_by_one`` call.  Two commits whose lines are equal give
+the ``one_by_one`` call, or if a call's returned loss differs from
+``row_contributions`` of its row.  Two commits whose lines are equal give
 bit-identical outputs on these inputs.  The training sets and fresh points
 are those of ``benchmarks/workloads.make_problems(wl, 1)``.
 
@@ -65,6 +66,14 @@ def digest_line(p) -> str:
             [a.tobytes() for a in single]:
         raise AssertionError("single-row add_new calls differ from the "
                              "one_by_one call")
+    for i, (B_i, Z_i, loss) in enumerate(calls):
+        contrib = solver.row_contributions(
+            np.vstack([sol.X, p.X_new[i:i + 1]]),
+            np.vstack([sol.Y, p.Y_new[i:i + 1]]), B_i, Z_i, sol.hyperparams,
+            sol.task, Z_old=sol.Z)
+        if loss.tobytes() != contrib.tobytes():
+            raise AssertionError("a single add's loss differs from "
+                                 "row_contributions of its row")
     return " ".join([
         "fit", digest(sol.B, sol.Z, sol.final_loss, sol.loss_history,
                       sol.outer_iters_used),
