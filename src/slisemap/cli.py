@@ -6,7 +6,9 @@ versions and the thread variables, so any output can be reproduced
 bit-identically from its manifest under the same SLISEMAP_THREADS and
 numpy/BLAS build.  Each ``cmd_*`` returns ``(manifest_path, inputs,
 outputs)``, or None when it wrote nothing, and :func:`main` times the
-command and writes the manifest.
+command and writes the manifest.  Before a command runs, :func:`main`
+refuses an output path that resolves to one of its inputs or to another of
+its outputs (a data error), so no run destroys a file it reads.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -203,13 +205,18 @@ def cmd_metrics(args):
     report = metricsmod.compute_report(sol, ks, labels=labels,
                                        quantile=args.quantile)
     out_json = Path(args.out)
-    out_csv = out_json.with_suffix(".csv")
+    out_csv = _report_csv(out_json)
     report.save_json(out_json)
     report.save_csv(out_csv)
     for metric, k, v in report.rows():
         suffix = f" (k={k})" if k != "" else ""
         print(f"{metric}{suffix}: {v:.6g}")
     return str(out_json) + ".manifest.json", inputs, [out_json, out_csv]
+
+
+def _report_csv(out) -> Path:
+    """Where ``metrics --out`` writes its CSV report: next to the JSON."""
+    return Path(out).with_suffix(".csv")
 
 
 def _read_labels(path, n: int) -> np.ndarray:
@@ -417,11 +424,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before the command runs, an output path that resolves to
+    one of its input paths or to another of its outputs: writing it would
+    destroy a file the command reads or writes, and the manifest would
+    hash the wrong bytes."""
+    claimed = {Path(getattr(args, flag)).resolve(): f"the --{flag} input"
+               for flag in ("solution", "data", "labels")
+               if getattr(args, flag, None)}
+    outputs = [("--out", args.out)]
+    if args.command == "metrics":
+        outputs.append(("the CSV report", _report_csv(args.out)))
+    if getattr(args, "models_out", None):
+        outputs.append(("--models-out", args.models_out))
+    for name, path in outputs:
+        where = Path(path).resolve()
+        if where in claimed:
+            raise DataError(f"{name} would overwrite {claimed[where]}: "
+                            f"both are {path}")
+        claimed[where] = f"the {name} output"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_outputs(args)
         written = args.func(args)
         if written is not None:
             _write_manifest(args, *written, started)

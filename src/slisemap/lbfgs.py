@@ -5,6 +5,13 @@ the search direction, bracketing + zoom line search with cubic
 interpolation enforcing the strong Wolfe conditions (c1 = 1e-4, c2 = 0.9),
 and curvature-guarded history updates.
 
+The zoom keeps each trial step at least a tenth of the bracket inside it:
+a cubic minimizer closer to an end is moved to that distance (the
+safeguard of More and Thuente, ACM TOMS 1994), and only a cubic without a
+minimizer falls back to bisection.  A step far past a kink, such as the
+first steepest-descent step of a point added as a copy of an old row,
+thus shrinks the bracket tenfold per evaluation instead of halving it.
+
 Termination, named by ``MinimizeResult.reason``: gradient sup-norm below
 ``_GRAD_TOL``, relative loss improvement below ``rel_tol``, the iteration
 cap, or a failed line search.  A failed line search is not an error; the
@@ -84,8 +91,10 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
             a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
             span = abs(hi - lo)
             left, right = min(lo, hi), max(lo, hi)
-            if a is None or not (left + 0.1 * span <= a <= right - 0.1 * span):
+            if a is None:
                 a = 0.5 * (lo + hi)
+            else:  # keep the trial a tenth of the span inside the bracket
+                a = min(max(a, left + 0.1 * span), right - 0.1 * span)
             f, g = phi(a)
             d = float(g @ p)
             if not np.isfinite(f) or f > phi0 + _C1 * a * dphi0 or f >= f_lo:

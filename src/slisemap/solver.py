@@ -421,7 +421,10 @@ def add_new(sol: Solution, X_new, Y_new,
     contribution of new point i in the incremented problem.  With
     ``one_by_one`` each point is added independently against the original
     solution; otherwise the whole batch is optimized jointly.  The stored
-    solution is never mutated.
+    solution is never mutated.  A point added on its own is the only
+    optimized row of its solve, so its loss is the solve's own value,
+    with no second forward pass; a joint batch makes one more pass to
+    split its loss into rows.
 
     Each new row starts as a copy of an old row.  A point added on its own
     (one row, or ``one_by_one``) starts from the old row k whose copy

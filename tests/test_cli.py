@@ -514,6 +514,50 @@ class TestManifest:
         assert calls == [str(gen / "data.csv")]
 
 
+class TestOutputPaths:
+    def test_metrics_csv_report_cannot_be_out(self, workspace, tmp_path,
+                                              capsys):
+        """``--out r.csv`` would have the CSV report overwrite the JSON
+        one; it is refused before anything is written."""
+        _, _, sol_path = workspace
+        rc = main(["metrics", "--solution", str(sol_path),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert "CSV report would overwrite the --out output" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, argv", [
+        ("export", ["--solution", "{sol}", "--out", "{sol}"]),
+        ("add", ["--solution", "{sol}", "--data", "{data}",
+                 "--out", "{data}"]),
+        ("fit", ["--data", "{data}", "--target", "y", "--lambda-z", "0.1",
+                 "--out", "{tmp}/../{tmp_name}/data.csv"]),
+        ("plot", ["--solution", "{sol}", "--out", "{tmp}/p.svg",
+                  "--models-out", "{sol}"]),
+        ("metrics", ["--solution", "{tmp}/sol.csv",
+                     "--out", "{tmp}/sol.json"]),
+    ], ids=["export-solution", "add-data", "fit-data-other-spelling",
+            "plot-models-out", "metrics-csv-report"])
+    def test_output_over_an_input_is_data_error(self, workspace, tmp_path,
+                                                capsys, command, argv):
+        """An output path that resolves to an input path is refused before
+        the command runs: the input keeps its bytes and no manifest is
+        written."""
+        _, gen, sol_path = workspace
+        sol, data_csv = tmp_path / "sol.json", tmp_path / "data.csv"
+        sol.write_bytes(sol_path.read_bytes())
+        data_csv.write_bytes((gen / "data.csv").read_bytes())
+        (tmp_path / "sol.csv").write_bytes(sol_path.read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        fields = {"sol": sol, "data": data_csv, "tmp": tmp_path,
+                  "tmp_name": tmp_path.name}
+        rc = main([command] + [a.format(**fields) for a in argv])
+        assert rc == 3
+        assert "would overwrite the --" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestNumberFlags:
     @pytest.mark.parametrize("argv, message", [
         (["--lambda-z", "0"], "must be > 0, got 0"),

@@ -4,7 +4,9 @@ contract, and termination behaviour."""
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
+from slisemap import lbfgs
 from slisemap.lbfgs import minimize
 
 
@@ -98,3 +100,49 @@ class TestTermination:
         assert res.reason in ("gradient", "f-rel")  # converged
         values = [f for _, f in calls]
         assert res.fun <= min(values) + 1e-15
+
+
+KINK, KINK_WIDTH = 1e-4, 1e-6
+
+
+def kinked(x):
+    """Slope -1 up to a kink at KINK, softplus-smoothed over KINK_WIDTH,
+    and slope +99 after it: the first unit step overshoots the minimizer
+    ten thousandfold."""
+    t = (x[0] - KINK) / KINK_WIDTH
+    f = -x[0] + 100.0 * KINK_WIDTH * np.logaddexp(0.0, t)
+    return float(f), np.array([-1.0 + 100.0 * scipy.special.expit(t)])
+
+
+class TestZoom:
+    def test_step_past_a_kink_costs_few_evaluations(self):
+        # bisecting the bracket from the unit step down to the kink takes
+        # 20 evaluations; shrinking it tenfold per trial takes 9
+        res = minimize(kinked, [0.0], max_iters=1)
+        assert res.n_evals <= 10
+        assert res.fun < kinked(np.zeros(1))[0]
+
+    def test_trials_lie_strictly_inside_the_bracket(self, monkeypatch):
+        """Each zoom trial (the evaluation after a cubic interpolation) lies
+        inside its bracket, at least a tenth of the span from either end."""
+        events = []
+        cubic_min = lbfgs._cubic_min
+
+        def recording_cubic(a, fa, da, b, fb, db):
+            events.append(("bracket", min(a, b), max(a, b)))
+            return cubic_min(a, fa, da, b, fb, db)
+
+        def recording_fg(x):
+            events.append(("trial", float(x[0])))  # x0 = 0, p = 1: x = alpha
+            return kinked(x)
+
+        monkeypatch.setattr(lbfgs, "_cubic_min", recording_cubic)
+        minimize(recording_fg, [0.0], max_iters=1)
+        zoomed = [(b, t) for b, t in zip(events, events[1:])
+                  if b[0] == "bracket"]
+        assert len(zoomed) >= 5
+        for (_, left, right), (kind, a) in zoomed:
+            assert kind == "trial"
+            assert left < a < right
+            band = 0.1 * (right - left) * (1.0 - 1e-9)
+            assert left + band <= a <= right - band

@@ -447,6 +447,31 @@ class TestAddNew:
             # (3e-7 here), and the loss moves by at most that share.
             assert abs(f[k] - kernel) <= 1e-6 * kernel
 
+    @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)],
+                             ids=["regression", "3-class"])
+    def test_single_add_loss_is_its_row_contribution(self, task, rng):
+        """A single add returns its solve's loss, which is the new row's
+        contribution to the incremented problem to the last bit."""
+        ds, _ = generate_rsynth(RsynthSpec(n=34, m=3, seed=5))
+        if task.is_classification:
+            raw = rng.random((34, 3)) + 0.1
+            Y = raw / raw.sum(axis=1, keepdims=True)
+        else:
+            Y = ds.Y
+        hp = Hyperparams(lambda_z=0.1)
+        config = SolverConfig(seed=5, max_outer_iters=1)
+        sol = fit(ds.X[:30], Y[:30], hp, task, config)
+        X_new, Y_new = ds.X[30:], Y[30:]
+        adds = [add_new(sol, X_new[:1], Y_new[:1], config),
+                add_new(sol, X_new, Y_new, config, one_by_one=True)]
+        for B_new, Z_new, losses in adds:
+            for i in range(len(losses)):
+                want = row_contributions(
+                    np.vstack([sol.X, X_new[i:i + 1]]),
+                    np.vstack([sol.Y, Y_new[i:i + 1]]), B_new[i:i + 1],
+                    Z_new[i:i + 1], hp, task, Z_old=sol.Z)
+                assert losses[i:i + 1].tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit
         with pytest.raises(ShapeError):
