@@ -156,8 +156,10 @@ def cmd_fit(args):
         print(f"{PROG}: warning: embedding collapsed toward the origin "
               "(max row norm < 0.1); lambda-z is probably too large",
               file=sys.stderr)
-    print(f"final loss {sol.final_loss:.6g} after {sol.outer_iters_used} "
-          f"outer iterations (n={sol.n})")
+    # outer_iters_used counts the initial solve; the flag counts the rounds
+    print(f"final loss {sol.final_loss:.6g} after "
+          f"{sol.outer_iters_used - 1} outer iterations, stopped on "
+          f"{sol.stop_reason} (n={sol.n})")
     return str(args.out) + ".manifest.json", [args.data], [args.out]
 
 

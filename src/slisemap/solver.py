@@ -31,6 +31,11 @@ from .objective import (Hyperparams, Workspace, _as_problem, _forward,
 # rounds that chase them cost about a fifth of a fit's evaluations.
 _ROUND_TOL = 1e-3
 
+# Why a fit stopped (``Solution.stop_reason``): the round cap was reached,
+# two rounds since the last gain ended near the best loss, ten rounds in a
+# row gained nothing, or a solve failed numerically.
+STOP_REASONS = ("max-outer-iters", "plateau", "no-gain", "numeric")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -42,10 +47,11 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
-        m = self.max_outer_iters
-        if not (m >= 0 and m % 1 == 0 and self.lbfgs_max_iters >= 1):
-            raise ValueError("max_outer_iters must be an integer >= 0 and "
-                             "lbfgs_max_iters >= 1")
+        for name, low in (("max_outer_iters", 0), ("lbfgs_max_iters", 1)):
+            v = getattr(self, name)
+            if not (v >= low and v % 1 == 0):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {v!r}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
 
@@ -84,6 +90,7 @@ class Solution:
     target_names: list[str] = field(default_factory=lambda: ["y"])
     loss_history: list[float] = field(default_factory=list)
     numeric_warning: bool = False
+    stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
         self.X, self.Y, self.B, self.Z, _ = _as_problem(
@@ -99,6 +106,9 @@ class Solution:
                      ("Z", self.Z), ("normalization", (norm.mean, norm.std))):
             if not np.isfinite(a).all():
                 raise DataError(f"{k} has non-finite entries")
+        if self.stop_reason not in ("", *STOP_REASONS):
+            raise DataError(f"stop_reason {self.stop_reason!r} is not one "
+                            f"of {', '.join(STOP_REASONS)}")
 
     @property
     def n(self) -> int:
@@ -134,6 +144,7 @@ class Solution:
             "outer_iters_used": self.outer_iters_used,
             "loss_history": list(self.loss_history),
             "numeric_warning": self.numeric_warning,
+            "stop_reason": self.stop_reason,
         }
 
     def save(self, path) -> None:
@@ -145,9 +156,9 @@ class Solution:
     def from_json_dict(cls, doc: dict) -> "Solution":
         """The solution a :meth:`to_json_dict` document describes; a
         missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError.  ``loss_history`` and
-        ``numeric_warning`` may be absent, as in files written before they
-        were saved."""
+        mismatched arrays a ShapeError.  ``loss_history``,
+        ``numeric_warning`` and ``stop_reason`` may be absent, as in files
+        written before they were saved."""
         try:
             task = TaskKind.from_string(doc["task"])
             numeric_warning = doc.get("numeric_warning", False)
@@ -169,6 +180,7 @@ class Solution:
                 target_names=list(doc.get("target_names", ["y"])),
                 loss_history=[float(v) for v in doc.get("loss_history", [])],
                 numeric_warning=numeric_warning,
+                stop_reason=doc.get("stop_reason", ""),
             )
         except KeyError as exc:
             raise DataError(f"solution has no {exc.args[0]!r} key") from None
@@ -285,12 +297,13 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     loss stops improving, and return the best state ever observed.
 
     A round (escape, then minimize) gains when it lowers the best loss by
-    more than 0.1% of it (``_ROUND_TOL``).  The loop stops after three
+    more than 0.1% of it (``_ROUND_TOL``).  The loop stops after two
     rounds since the last gain that each gain less than 0.1% and end within
-    1% of the best loss, after ten rounds in a row without such a gain
-    (escape may visit worse basins first), or after
-    ``config.max_outer_iters`` rounds.  ``config.rel_tol`` is the inner
-    L-BFGS tolerance only.
+    1% of the best loss (``"plateau"``), after ten rounds in a row without
+    such a gain (``"no-gain"``; escape may visit worse basins first), after
+    ``config.max_outer_iters`` rounds (``"max-outer-iters"``), or on a
+    numeric failure (``"numeric"``); ``Solution.stop_reason`` says which.
+    ``config.rel_tol`` is the inner L-BFGS tolerance only.
 
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
@@ -330,11 +343,12 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     # An escape pass routinely makes the loss temporarily worse before a
     # later round lands in a better basin, so a non-improving round must
     # not end the fit on its own.  Rounds that end within 1% of the
-    # incumbent loss without gaining count as convergence (three since the
+    # incumbent loss without gaining count as convergence (two since the
     # last gain stop the loop); rounds exploring clearly worse basins get a
     # longer leash.
     plateau = 0
     no_gain = 0
+    stop_reason = "numeric" if numeric_warning else "max-outer-iters"
     while len(history) - 1 < config.max_outer_iters and not numeric_warning:
         B_e, Z_e = escape(X, Y, B, Z, task)
         try:
@@ -343,6 +357,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
             warnings.warn("numeric failure mid-fit; returning the best "
                           "state found so far")
             numeric_warning = True
+            stop_reason = "numeric"
             break
         improvement = best_f - f
         if f < best_f:
@@ -355,7 +370,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
             no_gain += 1
             if f <= best_f + 0.01 * max(abs(best_f), 1.0):
                 plateau += 1
-            if plateau >= 3 or no_gain >= 10:
+            if plateau >= 2 or no_gain >= 10:
+                stop_reason = "plateau" if plateau >= 2 else "no-gain"
                 break
 
     return Solution(
@@ -363,7 +379,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         final_loss=best_f, outer_iters_used=len(history), seed=config.seed,
         column_names=list(column_names), normalization=normalization,
         target_names=list(target_names),
-        loss_history=history, numeric_warning=numeric_warning)
+        loss_history=history, numeric_warning=numeric_warning,
+        stop_reason=stop_reason)
 
 
 def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,

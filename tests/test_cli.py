@@ -82,6 +82,17 @@ class TestFit:
         text = capsys.readouterr().out
         assert "final loss" in text and "outer iterations" in text
 
+    def test_prints_escape_rounds_and_stop_reason(self, workspace, tmp_path,
+                                                  capsys):
+        _, gen, _ = workspace
+        out = tmp_path / "s.json"
+        main(["fit", "--data", str(gen / "data.csv"), "--target", "y",
+              "--lambda-z", "0.1", "--seed", "1", "--max-outer-iters", "1",
+              "--out", str(out)])
+        text = capsys.readouterr().out
+        assert "after 1 outer iterations, stopped on max-outer-iters" in text
+        assert Solution.load(out).stop_reason == "max-outer-iters"
+
     def test_rejects_nonpositive_lambda_z(self, workspace, tmp_path):
         _, gen, _ = workspace
         with pytest.raises(SystemExit) as exc:
@@ -243,8 +254,10 @@ class TestMetrics:
          "B has non-finite entries"),
         (lambda doc: json.dumps({**doc, "numeric_warning": "no"}),
          "numeric_warning"),
+        (lambda doc: json.dumps({**doc, "stop_reason": "tired"}),
+         "stop_reason"),
     ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
-            "non-boolean-numeric-warning"])
+            "non-boolean-numeric-warning", "unknown-stop-reason"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace

@@ -195,11 +195,18 @@ class TestFit:
         sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
                   SolverConfig(seed=4, max_outer_iters=0))
         assert sol.outer_iters_used == len(sol.loss_history) == 1
+        assert sol.stop_reason == "max-outer-iters"
 
     @pytest.mark.parametrize("value", [-1, float("nan"), 1.5])
     def test_outer_iters_must_be_a_nonnegative_integer(self, value):
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=value)
+
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), 2.5,
+                                       float("inf")])
+    def test_lbfgs_iters_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="lbfgs_max_iters"):
+            SolverConfig(lbfgs_max_iters=value)
 
     def test_covariates_must_be_a_matrix(self):
         with pytest.raises(ShapeError):
@@ -244,7 +251,7 @@ class TestFit:
                                       if where == "first-call" else "mid-fit")
         with pytest.warns(UserWarning, match=match):
             sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=4))
-        assert sol.numeric_warning
+        assert sol.numeric_warning and sol.stop_reason == "numeric"
         h = sol.loss_history
         if where == "first-call":
             B0, Z0 = solver.init(ds.X, ds.Y, hp, REG, 4)
@@ -262,13 +269,14 @@ class TestFit:
     # and 1100 is a basin 10% worse than the best loss.
     SMALL = [1000.0 * (1 - 5e-4) ** k for k in range(120)]
 
-    @pytest.mark.parametrize("script, rounds", [
-        (SMALL, 3),
-        (SMALL[:3] + [s * 0.998 for s in SMALL[2:]], 6),
-        ([1000.0] + [1100.0] * 9 + [900.0] + [1100.0] * 20, 20),
-    ], ids=["three-small-gains-stop", "large-gain-resets",
-            "ten-worse-rounds-stop"])
-    def test_round_stop_rule(self, script, rounds, monkeypatch):
+    @pytest.mark.parametrize("script, rounds, reason", [
+        (SMALL, 2, "plateau"),
+        (SMALL[:2] + [s * 0.998 for s in SMALL[1:]], 4, "plateau"),
+        ([1000.0] + [1100.0] * 9 + [900.0] + [1100.0] * 20, 20, "no-gain"),
+        ([1000.0 * 0.998 ** k for k in range(120)], 100, "max-outer-iters"),
+    ], ids=["two-small-gains-stop", "large-gain-resets",
+            "ten-worse-rounds-stop", "gains-run-to-the-cap"])
+    def test_round_stop_rule(self, script, rounds, reason, monkeypatch):
         ds, _ = generate_rsynth(RsynthSpec(n=10, m=2, seed=3))
         losses = iter(script)
 
@@ -281,6 +289,7 @@ class TestFit:
                   SolverConfig(seed=3))
         assert sol.outer_iters_used == len(sol.loss_history) == rounds + 1
         assert sol.final_loss == min(script[:rounds + 1])
+        assert sol.stop_reason == reason
 
     def test_escape_disabled_terminates_and_is_worse(self):
         """Directional check: without the escape pass the reachable loss is
@@ -311,6 +320,7 @@ class TestFit:
         assert back.seed == sol.seed
         assert back.loss_history == sol.loss_history
         assert back.numeric_warning == sol.numeric_warning
+        assert back.stop_reason == sol.stop_reason in solver.STOP_REASONS
 
     def test_equality_is_identity(self, small_fit):
         _, sol = small_fit
@@ -322,9 +332,10 @@ class TestFit:
     def test_file_without_fit_record_loads(self, small_fit):
         _, sol = small_fit
         doc = sol.to_json_dict()
-        del doc["loss_history"], doc["numeric_warning"]
+        del doc["loss_history"], doc["numeric_warning"], doc["stop_reason"]
         back = Solution.from_json_dict(doc)
         assert back.loss_history == [] and back.numeric_warning is False
+        assert back.stop_reason == ""
         assert back.final_loss == sol.final_loss
 
 

@@ -1,8 +1,10 @@
 """Print one line of output digests per training set of the benchmark
 workloads ``clf200`` and ``reg200-seeds``.
 
-Each line holds sha256 prefixes of ``solver.fit``'s B, Z, final loss, loss
-history and round count; of ``solver.escape`` at the fitted solution; of
+Each line holds sha256 prefixes of ``solver.fit``'s fitted state (B, Z and
+final loss) and, apart, of its record (loss history, round count and stop
+reason), so a change to the stopping rule that keeps the fitted state shows
+as one; of ``solver.escape`` at the fitted solution; of
 ``metrics.compute_report`` at k = 5, 10, 25, 50 with labels; and of
 ``solver.add_new`` of 20 fresh points as one batch and of 10 fresh points
 one by one.  The same 10 points are also added with 10 separate single-row
@@ -75,8 +77,9 @@ def digest_line(p) -> str:
             raise AssertionError("a single add's loss differs from "
                                  "row_contributions of its row")
     return " ".join([
-        "fit", digest(sol.B, sol.Z, sol.final_loss, sol.loss_history,
-                      sol.outer_iters_used),
+        "state", digest(sol.B, sol.Z, sol.final_loss),
+        "record", digest(sol.loss_history, sol.outer_iters_used,
+                         sol.stop_reason),
         "escape", digest(*solver.escape(sol.X, sol.Y, sol.B, sol.Z, sol.task)),
         "report", digest(json.dumps(report.to_json_dict(), sort_keys=True)),
         "add", f"{digest(*batch)}/{digest(*single)}"])
