@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -65,12 +66,14 @@ def _write_manifest(args, manifest_path, inputs, outputs, started):
 
 
 def _bounded(name, kind, op, low):
-    """The argparse type ``name``: a ``kind`` (int or float) that is
+    """The argparse type ``name``: a finite ``kind`` (int or float) that is
     ``> low`` (``op`` ">") or ``>= low`` (">="); NaN is neither."""
     def parse(text):
         v = kind(text)
         if not (v > low if op == ">" else v >= low):
             raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return v
     parse.__name__ = name  # argparse names it in "invalid ... value"
     return parse

@@ -5,6 +5,12 @@ the search direction, bracketing + zoom line search with cubic
 interpolation enforcing the strong Wolfe conditions (c1 = 1e-4, c2 = 0.9),
 and curvature-guarded history updates.
 
+The first iteration tries the steepest-descent step of length
+min(1, 1 / max(1, |g|_1)) (Nocedal and Wright, Numerical Optimization,
+section 3.5); later ones try the unit quasi-Newton step.  A caller that
+knows the scale its start is curved on passes ``max_first_step``, which
+caps the first trial's move in every coordinate.
+
 The zoom keeps each trial step at least a tenth of the bracket inside it:
 a cubic minimizer closer to an end is moved to that distance (the
 safeguard of More and Thuente, ACM TOMS 1994), and only a cubic without a
@@ -20,6 +26,7 @@ best point seen so far is returned and the caller keeps going.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -153,12 +160,14 @@ def _two_loop(g, pairs, gamma):
     return q
 
 
-def minimize(fun_and_grad, x0, *, max_iters=500,
-             rel_tol=1e-6) -> MinimizeResult:
+def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
+             max_first_step=None) -> MinimizeResult:
     """Minimize ``fun_and_grad`` starting from ``x0``.
 
     ``fun_and_grad(x)`` must return ``(float, ndarray)``.  The returned
     point is always the best one evaluated, so ``result.fun <= f(x0)``.
+    ``max_first_step``, if given, bounds how far the first iteration's
+    trial point moves any coordinate from ``x0``.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_and_grad(x)
@@ -188,6 +197,9 @@ def minimize(fun_and_grad, x0, *, max_iters=500,
             alpha0 = 1.0
         else:
             alpha0 = min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
+        if it == 1 and max_first_step is not None:
+            alpha0 = min(alpha0,
+                         max_first_step / float(np.abs(p).max(initial=0.0)))
         a, f_new, g_new, evals, ok = _strong_wolfe(
             fun_and_grad, x, p, f, g, alpha0)
         n_evals += evals
@@ -197,7 +209,7 @@ def minimize(fun_and_grad, x0, *, max_iters=500,
         s = a * p
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(y @ y)
         x = x + s

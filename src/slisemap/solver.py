@@ -11,6 +11,7 @@ improving.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,8 +22,8 @@ from . import lbfgs
 from .data import Normalization
 from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import (Hyperparams, Workspace, _as_problem, _forward,
-                        added_loss_and_gradients, local_loss_matrix,
+from .objective import (_DIST_GRAD_EPS, Hyperparams, Workspace, _as_problem,
+                        _forward, added_loss_and_gradients, local_loss_matrix,
                         loss_and_gradients, pairwise_distances,
                         row_contributions, softmax_weights, total_loss)
 
@@ -35,6 +36,15 @@ _ROUND_TOL = 1e-3
 # two rounds since the last gain ended near the best loss, ten rounds in a
 # row gained nothing, or a solve failed numerically.
 STOP_REASONS = ("max-outer-iters", "plateau", "no-gain", "numeric")
+
+# Bound on the first trial step of a single add's solve, per coordinate.  A
+# single add starts as an exact copy of an old row, at distance zero from
+# it, inside the distance smoothing of width sqrt(_DIST_GRAD_EPS); the
+# default unit first step lands far past that kink and the zoom then walks
+# it back a decade per evaluation.  Ten smoothing widths is the scale the
+# copy's loss is curved on.  Tied to the smoothing so that removing it
+# calls for a second look here.
+_SINGLE_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,9 @@ class SolverConfig:
             if not (v >= low and v % 1 == 0):
                 raise ValueError(f"{name} must be an integer >= {low}, "
                                  f"got {v!r}")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, "
+                             f"got {self.rel_tol!r}")
 
 
 @dataclass(eq=False)
@@ -241,12 +252,14 @@ def init(X, Y, hp: Hyperparams, task: TaskKind, seed: int):
 
 
 def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
-                   config: SolverConfig):
+                   config: SolverConfig, *, max_first_step=None):
     """Minimize a callback over (B, Z) jointly; returns (B, Z, loss).
 
     ``fun_and_grad(B, Z)`` must return ``(loss, dB, dZ)``.  The two blocks
     are flattened into one parameter vector for the quasi-Newton core;
     ``hp.lambda_z`` sets the scale of its embedding block.
+    ``max_first_step`` is passed to :func:`lbfgs.minimize`, in the units of
+    that vector (B and the rescaled embedding).
     """
     nb = B0.size
     # Large lambda_z makes the embedding block of the Hessian (about
@@ -265,7 +278,7 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
 
     x0 = np.concatenate([B0.ravel(), (Z0 * scale).ravel()])
     res = lbfgs.minimize(fg, x0, max_iters=config.lbfgs_max_iters,
-                         rel_tol=config.rel_tol)
+                         rel_tol=config.rel_tol, max_first_step=max_first_step)
     B, V = unpack(res.x)
     return B.copy(), V / scale, res.fun
 
@@ -390,7 +403,8 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
 
     ``work`` lends the solve its buffers.  The loss of a single new row is
     its whole contribution, so the solve's value is returned as it is; the
-    rows of a joint batch get theirs from one more forward pass.
+    rows of a joint batch get theirs from one more forward pass.  Only a
+    single row's solve bounds its first step (``_SINGLE_ADD_FIRST_STEP``).
     """
     Xc = np.vstack([sol.X, X_new])
     Yc = np.vstack([sol.Y, Y_new])
@@ -400,9 +414,11 @@ def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
         return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
                                         work=work)
 
-    B_new, Z_new, f = lbfgs_minimize(fun_and_grad, sol.B[start],
-                                     sol.Z[start], hp, config)
-    if len(start) == 1:
+    single = len(start) == 1
+    B_new, Z_new, f = lbfgs_minimize(
+        fun_and_grad, sol.B[start], sol.Z[start], hp, config,
+        max_first_step=_SINGLE_ADD_FIRST_STEP if single else None)
+    if single:
         return B_new, Z_new, np.array([f])
     contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
                                 work=work)
@@ -453,10 +469,17 @@ def add_new(sol: Solution, X_new, Y_new,
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
     k on the point.  S, w and the penalties come from one n x n forward
     pass, made once per Solution, on its first single add; each point's
-    start then costs one row of local losses, O(n m).  A
-    training row added again thus starts no worse than its own copy.  The
-    rows of a joint batch start from the old row whose neighbourhood fits
-    their item best, ``argmin_k (W @ L)[k, i]`` as in :func:`escape`: f
+    start then costs one row of local losses, O(n m).  A training row
+    added again thus starts no worse than its own copy.
+
+    The copy sits at distance zero from its row, inside the distance
+    smoothing, so a single add's first line search starts at that scale:
+    its first trial moves no coordinate more than
+    ``_SINGLE_ADD_FIRST_STEP`` (1e-5), where the default step of up to 1
+    lands far past the kink.  Joint batches keep the default first step,
+    which measured fewer evaluations for them.  Their rows start from the
+    old row whose neighbourhood fits their item best,
+    ``argmin_k (W @ L)[k, i]`` as in :func:`escape`: f
     ignores the other new rows, and as a batch start it measured worse.
     """
     X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),

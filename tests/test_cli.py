@@ -582,6 +582,10 @@ class TestNumberFlags:
         (["--d", "1.5"], "invalid _positive_int value: '1.5'"),
         (["--max-outer-iters", "-1"], "must be >= 0, got -1"),
         (["--max-outer-iters", "x"], "invalid _nonneg_int value: 'x'"),
+        (["--lambda-z", "inf"], "must be finite, got inf"),
+        (["--lambda-lasso", "inf"], "must be finite, got inf"),
+        (["--rel-tol", "inf"], "must be finite, got inf"),
+        (["--rel-tol", "0"], "must be > 0, got 0"),
     ])
     def test_out_of_range_is_usage_error(self, argv, message, tmp_path,
                                          capsys):

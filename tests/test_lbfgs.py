@@ -146,3 +146,43 @@ class TestZoom:
             assert left < a < right
             band = 0.1 * (right - left) * (1.0 - 1e-9)
             assert left + band <= a <= right - band
+
+
+def first_trial(fg, x0, **kwargs):
+    """The point of the first line-search trial of ``minimize`` from x0."""
+    points = []
+
+    def recording(x):
+        points.append(x.copy())
+        return fg(x)
+
+    minimize(recording, x0, max_iters=1, **kwargs)
+    return points[1]
+
+
+class TestFirstStep:
+    @pytest.mark.parametrize("h", [1e-5, 1e-2])
+    def test_bound_caps_every_coordinate(self, h, rng):
+        for fg, x0 in [(kinked, np.zeros(1)),
+                       (quadratic(rng.standard_normal(5) * 3),
+                        rng.standard_normal(5))]:
+            moved = np.abs(first_trial(fg, x0, max_first_step=h) - x0)
+            ulp = 4.0 * np.finfo(float).eps * (1.0 + np.abs(x0).max())
+            assert moved.max() <= h + ulp
+            assert moved.max() >= h - ulp  # the bound is the step taken
+
+    @pytest.mark.parametrize("kwargs", [{}, {"max_first_step": None},
+                                        {"max_first_step": 10.0}],
+                             ids=["default", "none", "loose-bound"])
+    @pytest.mark.parametrize("scale", [0.01, 10.0],
+                             ids=["small-gradient", "large-gradient"])
+    def test_default_first_step(self, kwargs, scale, rng):
+        """Without a tighter bound the first trial is the steepest-descent
+        step of length min(1, 1 / max(1, |g|_1)), the rule fits use."""
+        center = rng.standard_normal(4)
+        fg = quadratic(center)
+        x0 = center + scale * rng.standard_normal(4)
+        g = fg(x0)[1]
+        alpha0 = min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
+        np.testing.assert_array_equal(first_trial(fg, x0, **kwargs),
+                                      x0 + alpha0 * -g)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import problems, random_instance, scalar_row_contribution
-from slisemap import objective, solver
+from slisemap import lbfgs, objective, solver
 from slisemap.data import RsynthSpec, generate_rsynth
 from slisemap.errors import NumericError, ShapeError, SlisemapError
 from slisemap.model import TaskKind
@@ -207,6 +207,11 @@ class TestFit:
     def test_lbfgs_iters_must_be_a_positive_integer(self, value):
         with pytest.raises(ValueError, match="lbfgs_max_iters"):
             SolverConfig(lbfgs_max_iters=value)
+
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+    def test_rel_tol_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SolverConfig(rel_tol=value)
 
     def test_covariates_must_be_a_matrix(self):
         with pytest.raises(ShapeError):
@@ -482,6 +487,30 @@ class TestAddNew:
                     np.vstack([sol.Y, Y_new[i:i + 1]]), B_new[i:i + 1],
                     Z_new[i:i + 1], hp, task, Z_old=sol.Z)
                 assert losses[i:i + 1].tobytes() == want.tobytes()
+
+    def test_single_adds_take_few_evaluations(self, monkeypatch):
+        """A single add starts as a copy of an old row, at the kink of the
+        smoothed distance to it; its first trial step stays at that scale
+        instead of a unit step the zoom walks back a decade per evaluation
+        (a median of 7 evaluations per add here with the unit step)."""
+        task = TaskKind.classification(3)
+        ds, _ = generate_rsynth(RsynthSpec(n=42, m=3, seed=5))
+        raw = np.random.default_rng(5).random((42, 3)) + 0.1
+        Y = raw / raw.sum(axis=1, keepdims=True)
+        config = SolverConfig(seed=5)
+        sol = fit(ds.X[:30], Y[:30], Hyperparams(lambda_z=0.1), task, config)
+        evals = []
+        minimize = lbfgs.minimize
+
+        def counting(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(lbfgs, "minimize", counting)
+        add_new(sol, ds.X[30:], Y[30:], config, one_by_one=True)
+        assert len(evals) == 12
+        assert np.median(evals) <= 5
 
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit
