@@ -85,23 +85,12 @@ _positive_int = _bounded("_positive_int", int, ">=", 1)
 _nonneg_int = _bounded("_nonneg_int", int, ">=", 0)
 
 
-def _task_from_args(args) -> TaskKind:
+def _load_for_fit(args):
+    ds = datamod.load_csv(args.data, args.target, args.task,
+                          label_column=args.label_column)
     if args.task == "classification":
-        n_classes = len(args.target)
-        if args.one_hot:
-            if args.n_classes is None:
-                raise DataError("--one-hot needs --n-classes")
-            n_classes = args.n_classes
-        elif args.n_classes is not None:
-            n_classes = args.n_classes
-        return TaskKind.classification(n_classes)
-    return TaskKind(args.task)
-
-
-def _load_for_fit(args, task: TaskKind) -> datamod.Dataset:
-    return datamod.load_csv(args.data, args.target, task,
-                            label_column=args.label_column,
-                            one_hot=args.one_hot)
+        return ds, TaskKind.classification(ds.Y.shape[1])
+    return ds, TaskKind(args.task)
 
 
 def _fit_dataset(ds: datamod.Dataset, task: TaskKind, hp: Hyperparams,
@@ -148,10 +137,9 @@ def cmd_generate(args):
 
 
 def cmd_fit(args):
-    task = _task_from_args(args)
     hp = Hyperparams(lambda_z=args.lambda_z, lambda_lasso=args.lambda_lasso,
                      d=args.d)
-    ds = _load_for_fit(args, task)
+    ds, task = _load_for_fit(args)
     ds = datamod.subsample(ds, args.subsample or ds.n, args.seed)
     sol = _fit_dataset(ds, task, hp, args, args.seed)
     sol.save(args.out)
@@ -168,15 +156,12 @@ def cmd_fit(args):
 
 def cmd_add(args):
     sol = solvermod.Solution.load(args.solution)
-    with open(args.data, "r", encoding="utf-8") as fh:
-        n_lines = sum(1 for line in fh if line.strip())
-    if n_lines <= 1:
+    X_raw, Y, names, _, _ = datamod.read_columns(
+        args.data, sol.target_names, sol.task.kind)
+    if not len(Y):
         print(f"{PROG}: warning: {args.data} has no data rows; nothing to add",
               file=sys.stderr)
         return None
-    X_raw, Y, names, _, _ = datamod.read_columns(
-        args.data, sol.target_names, sol.task,
-        one_hot=datamod.one_hot_column(sol.target_names) is not None)
     if set(names) != set(sol.column_names):
         raise DataError(
             f"covariate columns {names} do not match the "
@@ -204,7 +189,7 @@ def cmd_metrics(args):
     labels = None
     inputs = [args.solution]
     if args.labels:
-        labels = _read_labels(args.labels, sol.n)
+        labels = datamod.read_labels(args.labels, sol.n)
         inputs.append(args.labels)
     ks = args.k or [25]
     report = metricsmod.compute_report(sol, ks, labels=labels,
@@ -224,19 +209,9 @@ def _report_csv(out) -> Path:
     return Path(out).with_suffix(".csv")
 
 
-def _read_labels(path, n: int) -> np.ndarray:
-    header, table = datamod._read_table(path)
-    if table.shape[1] != 1:
-        raise DataError(f"{path}: labels file must have a single column")
-    if table.shape[0] != n:
-        raise DataError(f"{path}: {table.shape[0]} labels for {n} items")
-    return table[:, 0].astype(int)
-
-
 def cmd_sweep(args):
     metricsmod.check_quantile(args.quantile)
-    task = _task_from_args(args)
-    full = _load_for_fit(args, task)
+    full, task = _load_for_fit(args)
     rows = []
     for idx, lz in enumerate(args.lambda_z):
         seed = args.seed + idx
@@ -266,7 +241,7 @@ def cmd_plot(args):
     if mode == "label":
         if not args.labels:
             raise DataError("--color-by label needs --labels")
-        labels = _read_labels(args.labels, sol.n)
+        labels = datamod.read_labels(args.labels, sol.n)
         inputs.append(args.labels)
         svg = plotting.scatter_svg(sol.Z, labels, categorical=True,
                                    title="embedding by label",
@@ -326,13 +301,9 @@ def cmd_export(args):
 def _add_fit_flags(p, with_lambda_z=True):
     p.add_argument("--data", required=True, help="input CSV (header row)")
     p.add_argument("--target", action="append", required=True,
-                   help="response column; repeat for classification")
+                   help="response column; repeat for class probabilities")
     p.add_argument("--task", default="regression",
                    choices=["regression", "classification", "binary-logit"])
-    p.add_argument("--n-classes", type=_positive_int, default=None,
-                   help="class count (defaults to the number of targets)")
-    p.add_argument("--one-hot", action="store_true",
-                   help="expand a single class-id target column")
     p.add_argument("--label-column", default=None,
                    help="column holding ground-truth cluster ids")
     if with_lambda_z:

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .model import TaskKind, logit_transform
+from .model import BINARY_LOGIT, CLASSIFICATION, REGRESSION, TaskKind, \
+    logit_transform
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ def _parse_cell(text: str, row: int, name: str) -> float:
 
 
 def _read_table(path):
+    """A CSV's header, numeric rows and each row's number in the file
+    (blank rows are skipped but counted)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -157,7 +160,11 @@ def _read_table(path):
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        rows = []
+        for name in header:
+            if header.count(name) > 1:
+                raise DataError(f'{path}: column "{name}" appears twice in '
+                                "the header")
+        rows, numbers = [], []
         for i, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
@@ -171,49 +178,61 @@ def _read_table(path):
                     f"{len(header)}")
             rows.append([_parse_cell(c.strip(), i, header[j])
                          for j, c in enumerate(row)])
-    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+            numbers.append(i)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    return header, table, numbers
 
 
-def _one_hot(values: np.ndarray, column: str, names=None):
-    """Indicators of the ids ``values`` for targets ``names`` (all present)."""
+def _integers(path, header, table, numbers, j) -> np.ndarray:
+    """Column ``j`` of a table as integers: class ids or cluster labels.  A
+    cell that is not an integer (or beyond 2**53, where floats skip
+    integers) is a DataError naming its row and column."""
+    values = table[:, j]
+    bad = np.flatnonzero((values != np.round(values))
+                         | (np.abs(values) > 2.0 ** 53))
+    if bad.size:
+        raise DataError(
+            f'{path}: {values[bad[0]]:g} at row {numbers[bad[0]]}, column '
+            f'"{header[j]}" is not an integer id')
+    return values.astype(int)
+
+
+def _one_hot(ids: np.ndarray, column: str, names=None):
+    """Indicators of the class ``ids`` for targets ``names`` (all present;
+    by default ``column=v`` for every distinct id v, in sorted order)."""
     if names is None:
-        names = [f"{column}={v:g}" for v in np.unique(values)]
-    Y = np.array([[f"{column}={v:g}" == t for t in names] for v in values],
-                 dtype=float)
-    for v in values[~Y.any(axis=1)][:1]:
+        names = [f"{column}={v:g}" for v in np.unique(ids)]
+    Y = np.array([[f"{column}={v:g}" == t for t in names] for v in ids],
+                 dtype=float).reshape(len(ids), len(names))
+    for v in ids[~Y.any(axis=1)][:1]:
         raise DataError(f'class id {v:g} in column "{column}" is not a class')
     return Y, names
 
 
-def one_hot_column(target_names):
-    """The class-id column ``cls`` whose one-hot expansion gave the target
-    names ``cls=0``, ``cls=1``, ..., or None for other names."""
-    column = target_names[0].rpartition("=")[0]
-    if column and all(t.startswith(column + "=") for t in target_names):
-        return column
-    return None
-
-
-def read_columns(path, target_columns, task: TaskKind, *,
-                 label_column: Optional[str] = None, one_hot: bool = False):
+def read_columns(path, target_columns, task: str, *,
+                 label_column: Optional[str] = None):
     """Read a numeric CSV with a header row, without standardizing it.
 
-    Returns ``(X_raw, Y, column_names, target_names, labels)``.
-    ``target_columns`` names the response column(s); classification expects
-    one probability column per class whose rows form a simplex, unless
-    ``one_hot`` is set, in which case a single column of class ids is
-    expanded (``target_columns`` may then be a one-hot fit's target names).
-    ``label_column``, when given, is split off as ground-truth cluster
-    labels rather than a covariate (``labels`` is None otherwise).
+    Returns ``(X_raw, Y, column_names, target_names, labels)``, with no
+    rows for a header-only file.  ``task`` is a task kind; regression and
+    binary-logit read one target column.  Classification reads several as
+    per-class probabilities and one as integer class ids, expanded into
+    indicators named ``col=v`` for the distinct ids v in sorted order.
+    Target names of that form, as a fit saves them, are read as columns
+    when the file has them all, and otherwise as the class ids in ``col``,
+    expanded against those names.  ``label_column``, when given, is split
+    off as integer cluster labels (``labels`` is None otherwise).
     """
-    if isinstance(target_columns, str):
-        target_columns = [target_columns]
-    target_columns = list(target_columns)
-    column = one_hot_column(target_columns) if one_hot else None
-    read = [column] if column else target_columns
-    header, table = _read_table(path)
-    if table.shape[0] == 0:
-        raise DataError(f"{path}: no data rows")
+    if task not in (REGRESSION, CLASSIFICATION, BINARY_LOGIT):
+        raise DataError(f"unknown task kind {task!r}")
+    target_names = ([target_columns] if isinstance(target_columns, str)
+                    else list(target_columns))
+    header, table, numbers = _read_table(path)
+    read, names = target_names, None
+    column = target_names[0].rpartition("=")[0]
+    if (task == CLASSIFICATION and not set(read) <= set(header) and column
+            and all(t.startswith(column + "=") for t in target_names)):
+        read, names = [column], target_names
     for t in read + ([label_column] if label_column else []):
         if t not in header:
             raise DataError(f'{path}: missing column "{t}"')
@@ -225,45 +244,51 @@ def read_columns(path, target_columns, task: TaskKind, *,
         raise DataError(f"{path}: no covariate columns left")
     X_raw = table[:, f_idx]
     Y = table[:, t_idx]
-    target_names = list(target_columns)
 
-    if task.is_classification:
-        if one_hot:
-            if Y.shape[1] != 1:
-                raise DataError("--one-hot expects a single target column")
-            Y, target_names = _one_hot(Y[:, 0], read[0],
-                                       target_columns if column else None)
-        if Y.shape[1] != task.n_classes:
-            raise DataError(
-                f"classification with {task.n_classes} classes needs "
-                f"{task.n_classes} response columns, got {Y.shape[1]}")
+    if task == CLASSIFICATION:
+        if len(read) == 1:
+            Y, target_names = _one_hot(
+                _integers(path, header, table, numbers, t_idx[0]), read[0],
+                names)
         if (Y < 0).any():
             raise DataError("classification responses must be nonnegative")
-        bad = np.abs(Y.sum(axis=1) - 1.0) > 1e-6
-        if bad.any():
+        bad = np.flatnonzero(np.abs(Y.sum(axis=1) - 1.0) > 1e-6)
+        if bad.size:
             raise DataError(
                 f"classification responses must sum to 1 per row; row "
-                f"{int(np.flatnonzero(bad)[0]) + 1} sums to "
-                f"{Y[bad][0].sum()!r}")
+                f"{numbers[bad[0]]} sums to {float(Y[bad[0]].sum())!r}")
     else:
         if Y.shape[1] != 1:
-            raise DataError(f"{task.kind} expects a single target column")
-        if task.kind == "binary-logit" and ((Y < 0).any() or (Y > 1).any()):
+            raise DataError(f"{task} expects a single target column")
+        if task == BINARY_LOGIT and ((Y < 0).any() or (Y > 1).any()):
             raise DataError("binary-logit responses must be probabilities "
                             "in [0, 1]")
 
-    labels = table[:, l_idx].astype(int) if l_idx is not None else None
+    labels = (None if l_idx is None
+              else _integers(path, header, table, numbers, l_idx))
     return X_raw, Y, [header[j] for j in f_idx], target_names, labels
 
 
-def load_csv(path, target_columns, task: TaskKind, *,
-             label_column: Optional[str] = None,
-             one_hot: bool = False) -> Dataset:
-    """Read a numeric CSV with a header row into a Dataset, its covariates
-    standardized; the arguments are those of :func:`read_columns`."""
+def read_labels(path, n: int) -> np.ndarray:
+    """The integer cluster labels of the ``n`` items of a solution, read
+    from a one-column CSV with a header row."""
+    header, table, numbers = _read_table(path)
+    if len(header) != 1:
+        raise DataError(f"{path}: labels file must have a single column")
+    if table.shape[0] != n:
+        raise DataError(f"{path}: {table.shape[0]} labels for {n} items")
+    return _integers(path, header, table, numbers, 0)
+
+
+def load_csv(path, target_columns, task: str, *,
+             label_column: Optional[str] = None) -> Dataset:
+    """Read a numeric CSV with a header row and at least one data row into
+    a Dataset, its covariates standardized; the arguments are those of
+    :func:`read_columns`."""
     X_raw, Y, column_names, target_names, labels = read_columns(
-        path, target_columns, task, label_column=label_column,
-        one_hot=one_hot)
+        path, target_columns, task, label_column=label_column)
+    if not len(Y):
+        raise DataError(f"{path}: no data rows")
     X, norm = normalize(X_raw)
     return Dataset(X_raw=X_raw, X=X, Y=Y, column_names=column_names,
                    target_names=target_names, normalization=norm,

@@ -20,8 +20,9 @@ thus shrinks the bracket tenfold per evaluation instead of halving it.
 
 Termination, named by ``MinimizeResult.reason``: gradient sup-norm below
 ``_GRAD_TOL``, relative loss improvement below ``rel_tol``, the iteration
-cap, or a failed line search.  A failed line search is not an error; the
-best point seen so far is returned and the caller keeps going.
+cap, or a failed line search.  A failed line search is not an error: its
+lowest trial, when below the current loss, becomes the last iterate, and
+the caller keeps going.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
     """Minimize ``fun_and_grad`` starting from ``x0``.
 
     ``fun_and_grad(x)`` must return ``(float, ndarray)``.  The returned
-    point is always the best one evaluated, so ``result.fun <= f(x0)``.
+    point is the best accepted iterate, ``x0`` included, so
+    ``result.fun <= f(x0)``; a trial step the line search rejects is
+    never returned, even when it is lower than the step it accepts.
     ``max_first_step``, if given, bounds how far the first iteration's
     trial point moves any coordinate from ``x0``.
     """

@@ -100,7 +100,7 @@ def logit_transform(y1):
     """
     y = np.asarray(y1, dtype=float)
     if (y < 0).any() or (y > 1).any():
-        bad = y[(y < 0) | (y > 1)].flat[0]
+        bad = float(y[(y < 0) | (y > 1)].flat[0])
         raise DataError(f"logit_transform input {bad!r} outside [0, 1]")
     y = np.clip(y, LOGIT_EPS, 1.0 - LOGIT_EPS)
     out = np.log(y / (1.0 - y))

@@ -336,7 +336,6 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
                                       std=np.ones(n_cols - 1))
 
     B, Z = init(X, Y, hp, task, config.seed)
-    f0 = total_loss(X, Y, B, Z, hp, task)  # raises NumericError if not finite
     work = Workspace()
 
     def fun_and_grad(Bc, Zc):
@@ -346,9 +345,9 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     try:
         B, Z, f = lbfgs_minimize(fun_and_grad, B, Z, hp, config)
     except NumericError:
+        f = total_loss(X, Y, B, Z, hp, task)  # raises if the start is not finite
         warnings.warn("numeric failure in the initial minimization; "
                       "returning the unoptimized starting point")
-        f = f0
         numeric_warning = True
     best_B, best_Z, best_f = B, Z, f
     history = [best_f]

@@ -277,6 +277,21 @@ class TestMetrics:
                    str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["metrics", "plot"])
+    def test_non_integer_label_is_data_error(self, workspace, tmp_path,
+                                             capsys, command):
+        """A label of 1.5 is refused with its row, not truncated to 1."""
+        _, _, sol_path = workspace
+        bad = tmp_path / "lab.csv"
+        bad.write_text("label\n" + "0\n" * 4 + "1.5\n"
+                       + "1\n" * (N_SMALL - 5))
+        argv = ["--color-by", "label"] if command == "plot" else []
+        rc = main([command, "--solution", str(sol_path), "--labels",
+                   str(bad), *argv, "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert '1.5 at row 5, column "label"' in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["lab.csv"]
+
 
 class TestSweep:
     def test_grid_produces_long_csv(self, workspace, tmp_path):
@@ -599,6 +614,35 @@ class TestNumberFlags:
         assert message in capsys.readouterr().err
 
 
+class TestBadCsv:
+    @pytest.mark.parametrize("argv, text, named", [
+        (["fit", "--task", "classification", "--target", "cls"],
+         "a,b,cls\n0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,1.5\n",
+         '1.5 at row 3, column "cls" is not an integer id'),
+        (["fit", "--target", "y", "--label-column", "lab"],
+         "a,y,lab\n0.1,1,0\n0.2,2,1\n0.3,3,0.5\n",
+         '0.5 at row 3, column "lab" is not an integer id'),
+        (["fit", "--target", "y"], "a,a,y\n0.1,0.2,1\n0.3,0.4,2\n",
+         'column "a" appears twice'),
+        (["add", "--solution", "{sol}"],
+         "x1,x2,x3,x4,x1,y\n1,2,3,4,5,6\n", 'column "x1" appears twice'),
+    ], ids=["class-id", "label-column", "fit-duplicate-header",
+            "add-duplicate-header"])
+    def test_bad_csv_is_data_error_naming_it(self, workspace, tmp_path,
+                                             capsys, argv, text, named):
+        _, _, sol_path = workspace
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        argv = [a.format(sol=sol_path) for a in argv]
+        if argv[0] == "fit":
+            argv += ["--lambda-z", "0.1"]
+        rc = main(argv + ["--data", str(data), "--out",
+                          str(tmp_path / "out")])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+
 def write_classification_csv(path, n=40, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 3)) + rng.integers(0, 2, n)[:, None] * 2.0
@@ -613,7 +657,7 @@ def write_classification_csv(path, n=40, seed=0):
 
 def fit_class_ids(data, sol_path) -> int:
     """Write 30 rows of two covariates and a class id 0-2 to ``data`` and
-    fit them with ``--one-hot``; returns the exit code."""
+    fit them as a classification; returns the exit code."""
     rng = np.random.default_rng(1)
     rows = ["a,b,cls"]
     for i in range(30):
@@ -621,8 +665,8 @@ def fit_class_ids(data, sol_path) -> int:
                     f"{repr(rng.standard_normal())},{i % 3}")
     data.write_text("\n".join(rows) + "\n")
     return main(["fit", "--data", str(data), "--target", "cls", "--task",
-                 "classification", "--one-hot", "--n-classes", "3",
-                 "--lambda-z", "0.1", "--seed", "1", "--out", str(sol_path)])
+                 "classification", "--lambda-z", "0.1", "--seed", "1",
+                 "--out", str(sol_path)])
 
 
 class TestClassificationPipeline:
@@ -674,6 +718,25 @@ class TestClassificationPipeline:
         assert main(["add", "--solution", str(sol_path), "--data",
                      str(unknown), "--out", str(tmp_path / "u.csv")]) == 3
         assert 'class id 7 in column "cls"' in capsys.readouterr().err
+
+    def test_probability_columns_named_like_class_ids(self, tmp_path):
+        """Targets ``y=a``, ``y=b`` that the file has are read as columns
+        by ``add`` too, not as the expansion of a class-id column y."""
+        data = tmp_path / "cls.csv"
+        write_classification_csv(data)
+        text = data.read_text()
+        data.write_text(text.replace("p1,p2", "y=a,y=b", 1))
+        sol_path = tmp_path / "sol.json"
+        assert main(["fit", "--data", str(data), "--target", "y=a",
+                     "--target", "y=b", "--task", "classification",
+                     "--lambda-z", "0.05", "--seed", "3",
+                     "--max-outer-iters", "0", "--out", str(sol_path)]) == 0
+        assert Solution.load(sol_path).target_names == ["y=a", "y=b"]
+        out = tmp_path / "a.csv"
+        assert main(["add", "--solution", str(sol_path), "--data", str(data),
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert len(list(csv.reader(fh))) == 41
 
     def test_binary_logit_fit(self, tmp_path):
         data = tmp_path / "cls.csv"
@@ -731,6 +794,23 @@ class TestEndToEndDeterminism:
             assert proc.returncode == 0, proc.stderr
             blobs.append(sol.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestOutputDigestsTool:
+    def test_cli_line_runs(self):
+        """``tools/output_digests.py``'s CLI pipeline still runs and hashes
+        every file it writes, so a CLI change cannot break the tool."""
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import output_digests; print(output_digests.cli_line())"],
+            cwd=root / "tools", capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.split()[::2]
+        assert names == ["added.csv", "export.csv", "gen/data.csv",
+                         "gen/labels.csv", "gen/true_coefs.csv", "models.svg",
+                         "plot.svg", "report.csv", "report.json", "sol.json",
+                         "sweep.csv"]
 
 
 class TestConsoleEntryPoint:

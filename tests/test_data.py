@@ -117,7 +117,7 @@ class TestLoadCsv:
     def test_exact_recovery(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y\n1,2,3\n4,5,6\n-7,0.5,9\n")
-        ds = load_csv(p, "y", TaskKind.regression())
+        ds = load_csv(p, "y", "regression")
         np.testing.assert_array_equal(ds.X_raw, [[1, 2], [4, 5], [-7, 0.5]])
         np.testing.assert_array_equal(ds.Y, [[3], [6], [9]])
         assert ds.column_names == ["a", "b"]
@@ -127,28 +127,28 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("x1,x2,x3,y\n1,2,3,4\n5,6,,8\n")
         with pytest.raises(DataError) as err:
-            load_csv(p, "y", TaskKind.regression())
+            load_csv(p, "y", "regression")
         assert "row 2" in str(err.value) and 'column "x3"' in str(err.value)
 
     def test_short_row_names_missing_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x1,x2,x3,y\n1,2,3,4\n5,6\n")
         with pytest.raises(DataError) as err:
-            load_csv(p, "y", TaskKind.regression())
+            load_csv(p, "y", "regression")
         assert "row 2" in str(err.value) and 'column "x3"' in str(err.value)
 
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="missing column"):
-            load_csv(p, "y", TaskKind.regression())
+            load_csv(p, "y", "regression")
 
     def test_round_trip_export_load(self, tmp_path, rng):
         ds, _ = generate_rsynth(RsynthSpec(n=20, m=3, seed=8))
         p = tmp_path / "out.csv"
         write_csv(p, ds.column_names + ds.target_names,
                   np.hstack([ds.X_raw, ds.Y]))
-        back = load_csv(p, "y", TaskKind.regression())
+        back = load_csv(p, "y", "regression")
         assert back.X_raw.tobytes() == ds.X_raw.tobytes()
         assert back.Y.tobytes() == ds.Y.tobytes()
         assert back.column_names == ds.column_names
@@ -157,26 +157,61 @@ class TestLoadCsv:
         p = tmp_path / "c.csv"
         p.write_text("a,p1,p2\n1,0.7,0.3\n2,0.9,0.2\n")
         with pytest.raises(DataError, match="sum to 1"):
-            load_csv(p, ["p1", "p2"], TaskKind.classification(2))
+            load_csv(p, ["p1", "p2"], "classification")
+        with pytest.raises(DataError, match="row 2 sums to 1.1$"):
+            load_csv(p, ["p1", "p2"], "classification")
 
     def test_classification_accepts_valid_simplex(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("a,p1,p2\n1,0.7,0.3\n2,0.8,0.2\n")
-        ds = load_csv(p, ["p1", "p2"], TaskKind.classification(2))
+        ds = load_csv(p, ["p1", "p2"], "classification")
         assert ds.Y.shape == (2, 2)
 
     def test_one_hot_expansion(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("a,cls\n1,0\n2,1\n3,2\n4,1\n")
-        ds = load_csv(p, "cls", TaskKind.classification(3), one_hot=True)
+        ds = load_csv(p, "cls", "classification")
         assert ds.Y.shape == (4, 3)
         np.testing.assert_array_equal(ds.Y.sum(axis=1), np.ones(4))
         np.testing.assert_array_equal(ds.Y[1], [0, 1, 0])
 
+    @pytest.mark.parametrize("text, target, task, label_column, named", [
+        ("a,cls\n1,0\n2,1\n3,1.5\n", "cls", "classification", None,
+         '1.5 at row 3, column "cls"'),
+        ("a,y,lab\n1,2,0\n\n3,4,0.5\n", "y", "regression", "lab",
+         '0.5 at row 3, column "lab"'),
+        ("a,cls\n1,0\n2,1e300\n", "cls", "classification", None,
+         '1e+300 at row 2, column "cls"'),
+    ], ids=["class-id", "label-after-blank-row", "beyond-2**53"])
+    def test_non_integer_id_names_its_cell(self, tmp_path, text, target,
+                                           task, label_column, named):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match="is not an integer id") as err:
+            load_csv(p, target, task, label_column=label_column)
+        assert named in str(err.value)
+
+    def test_duplicate_header_names_the_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,a,y\n1,2,3,4\n")
+        with pytest.raises(DataError, match='column "a" appears twice'):
+            load_csv(p, "y", "regression")
+
+    @pytest.mark.parametrize("text, task, message", [
+        ("a,y\n", "regression", "no data rows"),
+        ("a,y\n1,2\n", "ranking", "unknown task kind 'ranking'"),
+    ], ids=["no-rows", "unknown-task"])
+    def test_no_rows_or_unknown_task_is_data_error(self, tmp_path, text,
+                                                   task, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(p, "y", task)
+
     def test_label_column_split_off(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y,lab\n1,2,3,0\n4,5,6,1\n")
-        ds = load_csv(p, "y", TaskKind.regression(), label_column="lab")
+        ds = load_csv(p, "y", "regression", label_column="lab")
         assert ds.column_names == ["a", "b"]
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
@@ -184,7 +219,7 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("a,y\n1,0.5\n2,1.5\n")
         with pytest.raises(DataError, match="probabilities"):
-            load_csv(p, "y", TaskKind.binary_logit())
+            load_csv(p, "y", "binary-logit")
 
 
 class TestTrainingResponse:
@@ -243,7 +278,7 @@ class TestWriteCsv:
         vals = rng.standard_normal((5, 3)) * np.pi
         p = tmp_path / "v.csv"
         write_csv(p, ["a", "b", "c"], vals)
-        back = load_csv(p, "c", TaskKind.regression())
+        back = load_csv(p, "c", "regression")
         assert np.hstack([back.X_raw, back.Y]).tobytes() == vals.tobytes()
 
     def test_floats_as_repr_other_values_as_printed(self, tmp_path):

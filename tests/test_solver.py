@@ -269,6 +269,19 @@ class TestFit:
         assert sol.final_loss == total_loss(sol.X, sol.Y, sol.B, sol.Z, hp,
                                             REG)
 
+    def test_successful_first_solve_computes_no_start_loss(self,
+                                                           monkeypatch):
+        """The start's loss is read only when the first solve fails, so a
+        fit that needs no fallback spends no forward pass on it."""
+        ds, _ = generate_rsynth(RsynthSpec(n=30, m=3, seed=4))
+        calls = []
+        monkeypatch.setattr(solver, "total_loss",
+                            lambda *args: calls.append(args))
+        sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
+                  SolverConfig(seed=4, max_outer_iters=1))
+        assert not sol.numeric_warning
+        assert calls == []
+
     # Scripted post-solve losses: the initial solve, then one per round.
     # 0.05% gains are below the 0.1% round tolerance, 0.2% is above it,
     # and 1100 is a basin 10% worse than the best loss.
