@@ -9,12 +9,13 @@ whole pipeline.
 
 import os
 
-# Cap BLAS threading before numpy is first imported; has no effect when the
-# package is imported as a library after numpy.
+# SLISEMAP_THREADS caps BLAS threading by setting those of these variables
+# that are unset; it takes effect only if numpy is imported after slisemap.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 _threads = os.environ.get("SLISEMAP_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for _var in BLAS_THREAD_VARIABLES:
         os.environ.setdefault(_var, _threads)
 
 from .data import Dataset, Normalization, RsynthSpec, generate_rsynth, \

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARIABLES, __version__
 from . import data as datamod
 from . import metrics as metricsmod
 from . import plotting
@@ -36,8 +35,6 @@ from .model import TaskKind
 from .objective import Hyperparams, local_loss_matrix
 
 PROG = "slisemap"
-THREAD_VARIABLES = ("SLISEMAP_THREADS", "OPENBLAS_NUM_THREADS",
-                    "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path) -> str:
@@ -58,11 +55,10 @@ def _write_manifest(args, manifest_path, inputs, outputs, started):
         "outputs": {str(p): _sha256(p) for p in outputs},
         "duration_seconds": time.perf_counter() - started,
         "versions": {"slisemap": __version__, "numpy": np.__version__},
-        "thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+        "thread_variables": {v: os.environ.get(v) for v in
+                             ("SLISEMAP_THREADS", *BLAS_THREAD_VARIABLES)},
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    datamod.write_json(manifest_path, doc)
 
 
 def _bounded(name, kind, op, low):
@@ -147,7 +143,6 @@ def cmd_fit(args):
         print(f"{PROG}: warning: embedding collapsed toward the origin "
               "(max row norm < 0.1); lambda-z is probably too large",
               file=sys.stderr)
-    # outer_iters_used counts the initial solve; the flag counts the rounds
     print(f"final loss {sol.final_loss:.6g} after "
           f"{sol.outer_iters_used - 1} outer iterations, stopped on "
           f"{sol.stop_reason} (n={sol.n})")
@@ -309,17 +304,20 @@ def _add_fit_flags(p, with_lambda_z=True):
     if with_lambda_z:
         p.add_argument("--lambda-z", type=_positive_float, required=True,
                        dest="lambda_z", help="embedding penalty (> 0)")
-    p.add_argument("--lambda-lasso", type=_nonneg_float, default=1e-4,
-                   dest="lambda_lasso")
-    p.add_argument("--d", type=_positive_int, default=2,
+    p.add_argument("--lambda-lasso", type=_nonneg_float,
+                   default=Hyperparams.lambda_lasso, dest="lambda_lasso")
+    p.add_argument("--d", type=_positive_int, default=Hyperparams.d,
                    help="embedding dimension")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=solvermod.SolverConfig.seed)
     p.add_argument("--subsample", type=_positive_int, default=None,
                    help="fit on a random subsample of this size")
-    p.add_argument("--max-outer-iters", type=_nonneg_int, default=100,
+    p.add_argument("--max-outer-iters", type=_nonneg_int,
+                   default=solvermod.SolverConfig.max_outer_iters,
                    help="escape rounds after the first solve (0: none)")
-    p.add_argument("--lbfgs-max-iters", type=_positive_int, default=500)
-    p.add_argument("--rel-tol", type=_positive_float, default=1e-6,
+    p.add_argument("--lbfgs-max-iters", type=_positive_int,
+                   default=solvermod.SolverConfig.lbfgs_max_iters)
+    p.add_argument("--rel-tol", type=_positive_float,
+                   default=solvermod.SolverConfig.rel_tol,
                    help="relative loss tolerance of each inner L-BFGS "
                         "solve (the escape rounds stop on their own 0.1%% "
                         "rule)")
@@ -336,10 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
                                         "regression benchmark")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--k-clusters", type=_positive_int, default=3)
-    p.add_argument("--cluster-std", type=_nonneg_float, default=0.25)
-    p.add_argument("--noise-std", type=_nonneg_float, default=0.1)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--k-clusters", type=_positive_int,
+                   default=datamod.RsynthSpec.k_clusters)
+    p.add_argument("--cluster-std", type=_nonneg_float,
+                   default=datamod.RsynthSpec.cluster_std)
+    p.add_argument("--noise-std", type=_nonneg_float,
+                   default=datamod.RsynthSpec.noise_std)
+    p.add_argument("--seed", type=int, default=datamod.RsynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

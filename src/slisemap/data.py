@@ -10,6 +10,7 @@ stored per-column (mean, std) are reapplied verbatim to held-out points.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -198,14 +199,18 @@ def _integers(path, header, table, numbers, j) -> np.ndarray:
 
 
 def _one_hot(ids: np.ndarray, column: str, names=None):
-    """Indicators of the class ``ids`` for targets ``names`` (all present;
-    by default ``column=v`` for every distinct id v, in sorted order)."""
+    """Indicators of the class ``ids`` for targets ``names`` (by default
+    ``column=v`` for every distinct id v, in sorted order).  A name matches
+    the id equal to the number it holds: ``col=1e+06`` reads 1000000 only."""
     if names is None:
-        names = [f"{column}={v:g}" for v in np.unique(ids)]
-    Y = np.array([[f"{column}={v:g}" == t for t in names] for v in ids],
-                 dtype=float).reshape(len(ids), len(names))
+        names = [f"{column}={v}" for v in np.unique(ids)]
+    try:
+        held = np.array([float(t.rpartition("=")[2]) for t in names])
+    except ValueError:  # names that do not all hold numbers match no id
+        held = np.full(len(names), np.nan)
+    Y = (ids[:, None] == held).astype(float)
     for v in ids[~Y.any(axis=1)][:1]:
-        raise DataError(f'class id {v:g} in column "{column}" is not a class')
+        raise DataError(f'class id {v} in column "{column}" is not a class')
     return Y, names
 
 
@@ -305,6 +310,13 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(
             [repr(float(v)) if isinstance(v, (float, np.floating)) else v
              for v in row] for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document with one-space indents and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def subsample(ds: Dataset, n0: int, seed: int) -> Dataset:

@@ -9,7 +9,6 @@ the smaller index.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import lbfgs, objective
-from .data import write_csv
+from .data import write_csv, write_json
 from .errors import ShapeError, SlisemapError
 from .model import TaskKind
 from .objective import local_loss_matrix, pairwise_distances, \
@@ -48,9 +47,7 @@ class MetricReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def rows(self):
         """Flat (metric, k, value) rows; k is empty for whole-data metrics."""

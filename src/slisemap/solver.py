@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lbfgs
-from .data import Normalization
+from .data import Normalization, write_json
 from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, Hyperparams, Workspace, _as_problem,
@@ -69,18 +69,19 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Solution:
-    """A fitted model: data, local models, embedding and bookkeeping.
+    """A fitted model: data, local models, embedding and the fit's record.
 
     ``X`` is the normalized, intercept-augmented covariate matrix the fit
     ran on; ``Y`` is the response matrix on the training scale (logit scale
     for the binary-logit task).  ``normalization`` maps raw features into
     X's basis (``data.apply_normalization``).  Construction checks every
     length and shape against (X, Y), raising a ShapeError, and rejects
-    non-finite entries with a DataError.
+    non-finite entries and a ``loss_history`` that is empty or increases
+    with a DataError.
 
-    A Solution is read-only after construction: ``final_loss`` and the
-    start base of single adds (computed on the first one and kept) describe
-    the arrays it was built with.  Make a changed solution with
+    A Solution is read-only after construction: its record and the start
+    base of single adds (computed on the first one and kept) describe the
+    arrays it was built with.  Make a changed solution with
     ``dataclasses.replace``, which starts without that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
@@ -93,14 +94,11 @@ class Solution:
     Z: np.ndarray
     hyperparams: Hyperparams
     task: TaskKind
-    final_loss: float
-    outer_iters_used: int
+    loss_history: list[float]  # the fit's best loss after each solve
     seed: int
     column_names: list[str]
     normalization: Normalization
     target_names: list[str] = field(default_factory=lambda: ["y"])
-    loss_history: list[float] = field(default_factory=list)
-    numeric_warning: bool = False
     stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
@@ -117,6 +115,10 @@ class Solution:
                      ("Z", self.Z), ("normalization", (norm.mean, norm.std))):
             if not np.isfinite(a).all():
                 raise DataError(f"{k} has non-finite entries")
+        h = self.loss_history
+        if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
+            raise DataError("loss_history is empty, non-finite or "
+                            "increasing")
         if self.stop_reason not in ("", *STOP_REASONS):
             raise DataError(f"stop_reason {self.stop_reason!r} is not one "
                             f"of {', '.join(STOP_REASONS)}")
@@ -124,6 +126,16 @@ class Solution:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def final_loss(self) -> float:
+        """The fit's best loss, the last entry of ``loss_history``."""
+        return self.loss_history[-1]
+
+    @property
+    def outer_iters_used(self) -> int:
+        """Solves the fit ran: the first one and one per escape round."""
+        return len(self.loss_history)
 
     @cached_property
     def _start_base(self):
@@ -154,44 +166,47 @@ class Solution:
             "seed": self.seed,
             "outer_iters_used": self.outer_iters_used,
             "loss_history": list(self.loss_history),
-            "numeric_warning": self.numeric_warning,
+            "numeric_warning": self.stop_reason == "numeric",
             "stop_reason": self.stop_reason,
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Solution":
         """The solution a :meth:`to_json_dict` document describes; a
         missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError.  ``loss_history``,
-        ``numeric_warning`` and ``stop_reason`` may be absent, as in files
-        written before they were saved."""
+        mismatched arrays a ShapeError.  A file written before
+        ``loss_history`` was saved has ``[final_loss]`` as its history, one
+        before ``stop_reason`` "numeric" if ``numeric_warning`` else "".
+        A ``final_loss`` off the history's last entry is a DataError."""
         try:
             task = TaskKind.from_string(doc["task"])
             numeric_warning = doc.get("numeric_warning", False)
             if not isinstance(numeric_warning, bool):
                 raise ValueError("numeric_warning is not true or false")
+            final_loss = float(doc["final_loss"])
+            history = [float(v) for v in doc.get("loss_history",
+                                                 [final_loss])]
+            if history and history[-1] != final_loss:
+                raise ValueError(f"final_loss {final_loss!r} is not the "
+                                 "last loss_history entry")
             hp = Hyperparams(lambda_z=doc["lambda_z"],
                              lambda_lasso=doc["lambda_lasso"], d=doc["d"])
             return cls(
                 X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
                 hyperparams=hp,
                 task=task,
-                final_loss=float(doc["final_loss"]),
-                outer_iters_used=int(doc.get("outer_iters_used", 0)),
+                loss_history=history,
                 seed=int(doc["seed"]),
                 column_names=list(doc["column_names"]),
                 normalization=Normalization(
                     mean=np.asarray(doc["normalization"]["mean"], dtype=float),
                     std=np.asarray(doc["normalization"]["std"], dtype=float)),
                 target_names=list(doc.get("target_names", ["y"])),
-                loss_history=[float(v) for v in doc.get("loss_history", [])],
-                numeric_warning=numeric_warning,
-                stop_reason=doc.get("stop_reason", ""),
+                stop_reason=doc.get("stop_reason",
+                                    "numeric" if numeric_warning else ""),
             )
         except KeyError as exc:
             raise DataError(f"solution has no {exc.args[0]!r} key") from None
@@ -341,14 +356,14 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     def fun_and_grad(Bc, Zc):
         return loss_and_gradients(X, Y, Bc, Zc, hp, task, work=work)
 
-    numeric_warning = False
+    stop_reason = "max-outer-iters"
     try:
         B, Z, f = lbfgs_minimize(fun_and_grad, B, Z, hp, config)
     except NumericError:
         f = total_loss(X, Y, B, Z, hp, task)  # raises if the start is not finite
         warnings.warn("numeric failure in the initial minimization; "
                       "returning the unoptimized starting point")
-        numeric_warning = True
+        stop_reason = "numeric"
     best_B, best_Z, best_f = B, Z, f
     history = [best_f]
 
@@ -360,15 +375,13 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     # longer leash.
     plateau = 0
     no_gain = 0
-    stop_reason = "numeric" if numeric_warning else "max-outer-iters"
-    while len(history) - 1 < config.max_outer_iters and not numeric_warning:
+    while stop_reason != "numeric" and len(history) <= config.max_outer_iters:
         B_e, Z_e = escape(X, Y, B, Z, task)
         try:
             B, Z, f = lbfgs_minimize(fun_and_grad, B_e, Z_e, hp, config)
         except NumericError:
             warnings.warn("numeric failure mid-fit; returning the best "
                           "state found so far")
-            numeric_warning = True
             stop_reason = "numeric"
             break
         improvement = best_f - f
@@ -388,11 +401,9 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
     return Solution(
         X=X, Y=Y, B=best_B, Z=best_Z, hyperparams=hp, task=task,
-        final_loss=best_f, outer_iters_used=len(history), seed=config.seed,
+        loss_history=history, seed=config.seed,
         column_names=list(column_names), normalization=normalization,
-        target_names=list(target_names),
-        loss_history=history, numeric_warning=numeric_warning,
-        stop_reason=stop_reason)
+        target_names=list(target_names), stop_reason=stop_reason)
 
 
 def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,

@@ -114,8 +114,8 @@ def test_criterion_4_coverage_calibration(medium_run):
     l0 = loss_threshold(losses, 0.3)
     global_sol = Solution(
         X=ds.X, Y=ds.Y, B=np.tile(b_global, (n, 1)), Z=np.zeros((n, 2)),
-        hyperparams=sol.hyperparams, task=REG, final_loss=0.0,
-        outer_iters_used=0, seed=0, column_names=ds.column_names,
+        hyperparams=sol.hyperparams, task=REG, loss_history=[0.0], seed=0,
+        column_names=ds.column_names,
         normalization=ds.normalization)
     cov_global = coverage(global_sol, l0)
     cov_knn = coverage(sol, l0, PURITY_K)

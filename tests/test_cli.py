@@ -256,8 +256,25 @@ class TestMetrics:
          "numeric_warning"),
         (lambda doc: json.dumps({**doc, "stop_reason": "tired"}),
          "stop_reason"),
+        (lambda doc: json.dumps({**doc, "final_loss": float("nan")}),
+         "final_loss"),
+        (lambda doc: json.dumps({**doc, "final_loss": float("inf")}),
+         "final_loss"),
+        (lambda doc: json.dumps(
+            {**doc, "loss_history": [float("nan")] + doc["loss_history"]}),
+         "loss_history"),
+        (lambda doc: json.dumps(
+            {**doc, "loss_history": [doc["final_loss"] - 1.0]
+             + doc["loss_history"]}),
+         "loss_history"),
+        (lambda doc: json.dumps({**doc, "loss_history": []}),
+         "loss_history"),
+        (lambda doc: json.dumps({**doc, "final_loss": doc["final_loss"] * 2}),
+         "final_loss"),
     ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
-            "non-boolean-numeric-warning", "unknown-stop-reason"])
+            "non-boolean-numeric-warning", "unknown-stop-reason",
+            "nan-final-loss", "infinite-final-loss", "nan-in-history",
+            "increasing-history", "empty-history", "final-loss-off-history"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace
@@ -655,14 +672,15 @@ def write_classification_csv(path, n=40, seed=0):
     path.write_text("\n".join(rows) + "\n")
 
 
-def fit_class_ids(data, sol_path) -> int:
-    """Write 30 rows of two covariates and a class id 0-2 to ``data`` and
-    fit them as a classification; returns the exit code."""
+def fit_class_ids(data, sol_path, ids=(0, 1, 2)) -> int:
+    """Write 30 rows of two covariates and a class id, taking ``ids`` in
+    turn, to ``data`` and fit them as a classification; returns the exit
+    code."""
     rng = np.random.default_rng(1)
     rows = ["a,b,cls"]
     for i in range(30):
         rows.append(f"{repr(rng.standard_normal())},"
-                    f"{repr(rng.standard_normal())},{i % 3}")
+                    f"{repr(rng.standard_normal())},{ids[i % len(ids)]}")
     data.write_text("\n".join(rows) + "\n")
     return main(["fit", "--data", str(data), "--target", "cls", "--task",
                  "classification", "--lambda-z", "0.1", "--seed", "1",
@@ -718,6 +736,29 @@ class TestClassificationPipeline:
         assert main(["add", "--solution", str(sol_path), "--data",
                      str(unknown), "--out", str(tmp_path / "u.csv")]) == 3
         assert 'class id 7 in column "cls"' in capsys.readouterr().err
+
+    def test_large_class_ids_are_named_exactly(self, tmp_path, capsys):
+        """Ids 1000000 and 1000001 are two classes, named by their exact
+        ids.  A solution saved when id 1000000 was named ``cls=1e+06``
+        still reads that id on ``add``, and refuses id 1000001."""
+        data, sol_path = tmp_path / "ids.csv", tmp_path / "sol.json"
+        assert fit_class_ids(data, sol_path, ids=(1000000, 1000001)) == 0
+        assert Solution.load(sol_path).target_names == ["cls=1000000",
+                                                        "cls=1000001"]
+        assert fit_class_ids(data, sol_path, ids=(0, 1000000)) == 0
+        doc = json.loads(sol_path.read_text())
+        assert doc["target_names"] == ["cls=0", "cls=1000000"]
+        sol_path.write_text(json.dumps(
+            {**doc, "target_names": ["cls=0", "cls=1e+06"]}))
+        header = data.read_text().splitlines()[0]
+        for cls, rc in ((1000000, 0), (1000001, 3)):
+            new = tmp_path / f"new{cls}.csv"
+            new.write_text(f"{header}\n0.5,0.5,{cls}\n")
+            assert main(["add", "--solution", str(sol_path), "--data",
+                         str(new), "--out", str(tmp_path / f"a{cls}.csv")]) \
+                == rc
+        assert 'class id 1000001 in column "cls" is not a class' \
+            in capsys.readouterr().err
 
     def test_probability_columns_named_like_class_ids(self, tmp_path):
         """Targets ``y=a``, ``y=b`` that the file has are read as columns
@@ -777,8 +818,7 @@ class TestEndToEndDeterminism:
         main(["generate", "--n", "60", "--m", "4", "--seed", "2",
               "--out", str(gen)])
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+               if k not in slisemap.BLAS_THREAD_VARIABLES}
         env["SLISEMAP_THREADS"] = threads
         src = os.path.dirname(os.path.dirname(solver.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -844,8 +884,7 @@ class TestConsoleEntryPoint:
             "import slisemap.cli\n"
             "print(seen)\n")
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+               if k not in slisemap.BLAS_THREAD_VARIABLES}
         env["SLISEMAP_THREADS"] = "1"
         proc = subprocess.run([sys.executable, "-c", spy], env=env,
                               capture_output=True, text=True)

@@ -23,8 +23,8 @@ def make_solution(X, Y, B, Z, hp, task=REG):
     m = X.shape[1] - 1
     return Solution(
         X=X, Y=Y, B=B, Z=Z, hyperparams=hp, task=task,
-        final_loss=total_loss(X, Y, B, Z, hp, task), outer_iters_used=0,
-        seed=0, column_names=[f"x{i+1}" for i in range(m)],
+        loss_history=[total_loss(X, Y, B, Z, hp, task)], seed=0,
+        column_names=[f"x{i+1}" for i in range(m)],
         normalization=Normalization(mean=np.zeros(m), std=np.ones(m)))
 
 

@@ -256,7 +256,7 @@ class TestFit:
                                       if where == "first-call" else "mid-fit")
         with pytest.warns(UserWarning, match=match):
             sol = fit(ds.X, ds.Y, hp, REG, SolverConfig(seed=4))
-        assert sol.numeric_warning and sol.stop_reason == "numeric"
+        assert sol.stop_reason == "numeric"
         h = sol.loss_history
         if where == "first-call":
             B0, Z0 = solver.init(ds.X, ds.Y, hp, REG, 4)
@@ -279,7 +279,7 @@ class TestFit:
                             lambda *args: calls.append(args))
         sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
                   SolverConfig(seed=4, max_outer_iters=1))
-        assert not sol.numeric_warning
+        assert sol.stop_reason != "numeric"
         assert calls == []
 
     # Scripted post-solve losses: the initial solve, then one per round.
@@ -337,8 +337,8 @@ class TestFit:
         assert back.column_names == sol.column_names
         assert back.seed == sol.seed
         assert back.loss_history == sol.loss_history
-        assert back.numeric_warning == sol.numeric_warning
         assert back.stop_reason == sol.stop_reason in solver.STOP_REASONS
+        assert back.to_json_dict() == sol.to_json_dict()
 
     def test_equality_is_identity(self, small_fit):
         _, sol = small_fit
@@ -352,9 +352,24 @@ class TestFit:
         doc = sol.to_json_dict()
         del doc["loss_history"], doc["numeric_warning"], doc["stop_reason"]
         back = Solution.from_json_dict(doc)
-        assert back.loss_history == [] and back.numeric_warning is False
+        assert back.loss_history == [sol.final_loss]
         assert back.stop_reason == ""
         assert back.final_loss == sol.final_loss
+        back = Solution.from_json_dict({**doc, "numeric_warning": True})
+        assert back.stop_reason == "numeric"
+
+    def test_record_fields_are_derived(self, small_fit):
+        _, sol = small_fit
+        names = {f.name for f in dataclasses.fields(Solution)}
+        assert not names & {"final_loss", "outer_iters_used",
+                            "numeric_warning"}
+        assert not hasattr(sol, "numeric_warning")
+        assert sol.final_loss == sol.loss_history[-1]
+        assert sol.outer_iters_used == len(sol.loss_history)
+        doc = sol.to_json_dict()
+        assert doc["final_loss"] == sol.final_loss
+        assert doc["outer_iters_used"] == len(sol.loss_history)
+        assert doc["numeric_warning"] is False
 
 
 class TestAddNew:

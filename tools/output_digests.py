@@ -10,7 +10,9 @@ as one; of ``solver.escape`` at the fitted solution; of
 one by one.  The same 10 points are also added with 10 separate single-row
 calls on the one solution, and the script raises if their bytes differ from
 the ``one_by_one`` call, or if a call's returned loss differs from
-``row_contributions`` of its row.  Two commits whose lines are equal give
+``row_contributions`` of its row.  It also raises if a fitted solution's
+document, read back with ``Solution.from_json_dict``, does not give the
+same document.  Two commits whose lines are equal give
 bit-identical outputs on these inputs.  The training sets and fresh points
 are those of ``benchmarks/workloads.make_problems(wl, 1)``.
 
@@ -56,6 +58,11 @@ def digest(*parts) -> str:
 
 def digest_line(p) -> str:
     sol = solver.fit(p.X, p.Y, p.hp, p.task, p.config)
+    doc = json.dumps(sol.to_json_dict())
+    if json.dumps(solver.Solution.from_json_dict(json.loads(doc))
+                  .to_json_dict()) != doc:
+        raise AssertionError("a saved solution does not read back as the "
+                             "same document")
     report = metrics.compute_report(sol, workloads.KS, labels=p.labels,
                                     config=p.config)
     batch = solver.add_new(sol, p.X_new[:N_BATCH], p.Y_new[:N_BATCH],
