@@ -4,11 +4,12 @@ Every run writes a JSON manifest next to its outputs recording the resolved
 parameters, input/output checksums, wall-clock duration, package and numpy
 versions and the thread variables, so any output can be reproduced
 bit-identically from its manifest under the same SLISEMAP_THREADS and
-numpy/BLAS build.  Each ``cmd_*`` returns ``(manifest_path, inputs,
-outputs)``, or None when it wrote nothing, and :func:`main` times the
-command and writes the manifest.  Before a command runs, :func:`main`
+numpy/BLAS build.  :func:`_files` derives a command's manifest path,
+inputs and outputs from its flags.  Before a command runs, :func:`main`
 refuses an output path that resolves to one of its inputs or to another of
-its outputs (a data error), so no run destroys a file it reads.
+its outputs (a data error), so no run destroys a file it reads.  Each
+``cmd_*`` returns whether it wrote its outputs, and :func:`main` then
+times the command and writes the manifest.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -45,14 +46,35 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, manifest_path, inputs, outputs, started):
+def _files(args):
+    """What a command reads and writes, from its flags alone:
+    ``(manifest_path, inputs, outputs)``, each file a ``(name, path)``
+    pair named as the overwrite guard names it."""
+    inputs = [(f"the --{flag} input", getattr(args, flag))
+              for flag in ("solution", "data", "labels")
+              if getattr(args, flag, None)]
+    if args.command == "generate":
+        out = Path(args.out)
+        return out / "manifest.json", inputs, [
+            ("--out", out / name)
+            for name in ("data.csv", "labels.csv", "true_coefs.csv")]
+    outputs = [("--out", args.out)]
+    if args.command == "metrics":
+        outputs.append(("the CSV report", _report_csv(args.out)))
+    if getattr(args, "models_out", None):
+        outputs.append(("--models-out", args.models_out))
+    return str(args.out) + ".manifest.json", inputs, outputs
+
+
+def _write_manifest(args, started):
+    manifest_path, inputs, outputs = _files(args)
     params = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
         "command": args.command,
         "parameters": params,
         "seed": params.get("seed"),
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {str(p): _sha256(p) for _, p in inputs},
+        "outputs": {str(p): _sha256(p) for _, p in outputs},
         "duration_seconds": time.perf_counter() - started,
         "versions": {"slisemap": __version__, "numpy": np.__version__},
         "thread_variables": {v: os.environ.get(v) for v in
@@ -118,18 +140,15 @@ def cmd_generate(args):
                               cluster_std=args.cluster_std,
                               noise_std=args.noise_std, seed=args.seed)
     ds, beta = datamod.generate_rsynth(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data_path = out / "data.csv"
-    labels_path = out / "labels.csv"
-    coefs_path = out / "true_coefs.csv"
+    data_path, labels_path, coefs_path = (p for _, p in _files(args)[2])
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     datamod.write_csv(data_path, ds.column_names + ["y"],
                       np.hstack([ds.X_raw, ds.Y]))
     datamod.write_csv(labels_path, ["label"], ds.labels[:, None])
     datamod.write_csv(coefs_path, ds.column_names, beta)
     print(f"wrote {data_path} ({spec.n} rows, {spec.m} features, "
           f"{spec.k_clusters} clusters)")
-    return out / "manifest.json", [], [data_path, labels_path, coefs_path]
+    return True
 
 
 def cmd_fit(args):
@@ -146,7 +165,7 @@ def cmd_fit(args):
     print(f"final loss {sol.final_loss:.6g} after "
           f"{sol.outer_iters_used - 1} outer iterations, stopped on "
           f"{sol.stop_reason} (n={sol.n})")
-    return str(args.out) + ".manifest.json", [args.data], [args.out]
+    return True
 
 
 def cmd_add(args):
@@ -156,7 +175,7 @@ def cmd_add(args):
     if not len(Y):
         print(f"{PROG}: warning: {args.data} has no data rows; nothing to add",
               file=sys.stderr)
-        return None
+        return False
     if set(names) != set(sol.column_names):
         raise DataError(
             f"covariate columns {names} do not match the "
@@ -164,8 +183,8 @@ def cmd_add(args):
     order = [names.index(c) for c in sol.column_names]
     X_new = datamod.apply_normalization(X_raw[:, order], sol.normalization)
     Y_new = datamod.training_response(Y, sol.task)
-    config = solvermod.SolverConfig(seed=sol.seed)
-    B_new, Z_new, losses = solvermod.add_new(sol, X_new, Y_new, config,
+    B_new, Z_new, losses = solvermod.add_new(sol, X_new, Y_new,
+                                             solvermod.SolverConfig(),
                                              one_by_one=args.one_by_one)
     d = sol.Z.shape[1]
     header = (["index"] + [f"z{i + 1}" for i in range(d)]
@@ -175,28 +194,21 @@ def cmd_add(args):
     datamod.write_csv(args.out, header, rows)
     print(f"added {len(losses)} points; mean loss contribution "
           f"{losses.mean():.6g}")
-    return (str(args.out) + ".manifest.json", [args.solution, args.data],
-            [args.out])
+    return True
 
 
 def cmd_metrics(args):
     sol = solvermod.Solution.load(args.solution)
-    labels = None
-    inputs = [args.solution]
-    if args.labels:
-        labels = datamod.read_labels(args.labels, sol.n)
-        inputs.append(args.labels)
+    labels = datamod.read_labels(args.labels, sol.n) if args.labels else None
     ks = args.k or [25]
     report = metricsmod.compute_report(sol, ks, labels=labels,
                                        quantile=args.quantile)
-    out_json = Path(args.out)
-    out_csv = _report_csv(out_json)
-    report.save_json(out_json)
-    report.save_csv(out_csv)
+    report.save_json(args.out)
+    report.save_csv(_report_csv(args.out))
     for metric, k, v in report.rows():
         suffix = f" (k={k})" if k != "" else ""
         print(f"{metric}{suffix}: {v:.6g}")
-    return str(out_json) + ".manifest.json", inputs, [out_json, out_csv]
+    return True
 
 
 def _report_csv(out) -> Path:
@@ -226,18 +238,16 @@ def cmd_sweep(args):
                                  "coverage_knn", "fidelity_point",
                                  "coverage_full", "threshold_l0",
                                  "final_loss", "seed"], rows)
-    return str(args.out) + ".manifest.json", [args.data], [args.out]
+    return True
 
 
 def cmd_plot(args):
     sol = solvermod.Solution.load(args.solution)
-    inputs = [args.solution]
+    labels = datamod.read_labels(args.labels, sol.n) if args.labels else None
     mode = args.color_by
     if mode == "label":
-        if not args.labels:
+        if labels is None:
             raise DataError("--color-by label needs --labels")
-        labels = datamod.read_labels(args.labels, sol.n)
-        inputs.append(args.labels)
         svg = plotting.scatter_svg(sol.Z, labels, categorical=True,
                                    title="embedding by label",
                                    legend_label="label")
@@ -260,7 +270,6 @@ def cmd_plot(args):
         raise DataError(f"unknown --color-by mode {mode!r}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    outputs = [args.out]
     if args.models_out:
         centroids, assign = plotting.kmeans(sol.B, args.model_clusters,
                                             sol.seed)
@@ -268,9 +277,8 @@ def cmd_plot(args):
         panels = plotting.model_panels_svg(centroids, counts, _coef_names(sol))
         with open(args.models_out, "w", encoding="utf-8") as fh:
             fh.write(panels)
-        outputs.append(args.models_out)
     print(f"wrote {args.out}")
-    return str(args.out) + ".manifest.json", inputs, outputs
+    return True
 
 
 def cmd_export(args):
@@ -286,7 +294,7 @@ def cmd_export(args):
         blocks.append(sol.B)
     datamod.write_csv(args.out, header, np.hstack(blocks))
     print(f"wrote {args.out}")
-    return str(args.out) + ".manifest.json", [args.solution], [args.out]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +414,8 @@ def _check_outputs(args) -> None:
     one of its input paths or to another of its outputs: writing it would
     destroy a file the command reads or writes, and the manifest would
     hash the wrong bytes."""
-    claimed = {Path(getattr(args, flag)).resolve(): f"the --{flag} input"
-               for flag in ("solution", "data", "labels")
-               if getattr(args, flag, None)}
-    outputs = [("--out", args.out)]
-    if args.command == "metrics":
-        outputs.append(("the CSV report", _report_csv(args.out)))
-    if getattr(args, "models_out", None):
-        outputs.append(("--models-out", args.models_out))
+    _, inputs, outputs = _files(args)
+    claimed = {Path(path).resolve(): name for name, path in inputs}
     for name, path in outputs:
         where = Path(path).resolve()
         if where in claimed:
@@ -428,9 +430,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _check_outputs(args)
-        written = args.func(args)
-        if written is not None:
-            _write_manifest(args, *written, started)
+        if args.func(args):
+            _write_manifest(args, started)
         return 0
     except NumericError as exc:
         print(f"{PROG}: error: numeric: {exc}", file=sys.stderr)

@@ -180,39 +180,45 @@ class Solution:
         mismatched arrays a ShapeError.  A file written before
         ``loss_history`` was saved has ``[final_loss]`` as its history, one
         before ``stop_reason`` "numeric" if ``numeric_warning`` else "".
-        A ``final_loss`` off the history's last entry is a DataError."""
+        Each derived key (``n``, ``m``, ``d``, ``p``, ``final_loss``,
+        ``outer_iters_used``, ``numeric_warning``) the document holds must
+        equal what :meth:`to_json_dict` writes for the solution, booleans
+        included, or it is a DataError naming the key; a file without
+        ``loss_history`` keeps its ``outer_iters_used``."""
         try:
-            task = TaskKind.from_string(doc["task"])
-            numeric_warning = doc.get("numeric_warning", False)
-            if not isinstance(numeric_warning, bool):
-                raise ValueError("numeric_warning is not true or false")
-            final_loss = float(doc["final_loss"])
-            history = [float(v) for v in doc.get("loss_history",
-                                                 [final_loss])]
-            if history and history[-1] != final_loss:
-                raise ValueError(f"final_loss {final_loss!r} is not the "
-                                 "last loss_history entry")
+            legacy = "loss_history" not in doc
             hp = Hyperparams(lambda_z=doc["lambda_z"],
                              lambda_lasso=doc["lambda_lasso"], d=doc["d"])
-            return cls(
+            sol = cls(
                 X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
                 hyperparams=hp,
-                task=task,
-                loss_history=history,
+                task=TaskKind.from_string(doc["task"]),
+                loss_history=[float(v) for v in (
+                    [doc["final_loss"]] if legacy else doc["loss_history"])],
                 seed=int(doc["seed"]),
                 column_names=list(doc["column_names"]),
                 normalization=Normalization(
                     mean=np.asarray(doc["normalization"]["mean"], dtype=float),
                     std=np.asarray(doc["normalization"]["std"], dtype=float)),
                 target_names=list(doc.get("target_names", ["y"])),
-                stop_reason=doc.get("stop_reason",
-                                    "numeric" if numeric_warning else ""),
+                stop_reason=doc.get("stop_reason", "numeric" if doc.get(
+                    "numeric_warning") else ""),
             )
         except KeyError as exc:
             raise DataError(f"solution has no {exc.args[0]!r} key") from None
         except (TypeError, ValueError) as exc:
             raise DataError(f"solution has a malformed value: {exc}") \
                 from None
+        written = sol.to_json_dict()
+        for key in ("n", "m", "d", "p", "final_loss", "outer_iters_used",
+                    "numeric_warning"):
+            if legacy and key == "outer_iters_used":
+                continue  # older files count rounds their history lacks
+            v, want = doc.get(key, written[key]), written[key]
+            if v != want or isinstance(v, bool) != isinstance(want, bool):
+                raise DataError(f"solution key {key!r} is {v!r}, but the "
+                                f"solution it describes gives {want!r}")
+        return sol
 
     @classmethod
     def load(cls, path) -> "Solution":
@@ -406,35 +412,6 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         target_names=list(target_names), stop_reason=stop_reason)
 
 
-def _add_batch(sol: Solution, X_new, Y_new, config: SolverConfig, start,
-               work: Workspace):
-    """Optimize the new rows jointly against the frozen old solution, new
-    row i starting as a copy of old row ``start[i]``.
-
-    ``work`` lends the solve its buffers.  The loss of a single new row is
-    its whole contribution, so the solve's value is returned as it is; the
-    rows of a joint batch get theirs from one more forward pass.  Only a
-    single row's solve bounds its first step (``_SINGLE_ADD_FIRST_STEP``).
-    """
-    Xc = np.vstack([sol.X, X_new])
-    Yc = np.vstack([sol.Y, Y_new])
-    hp, task = sol.hyperparams, sol.task
-
-    def fun_and_grad(Bn, Zn):
-        return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
-                                        work=work)
-
-    single = len(start) == 1
-    B_new, Z_new, f = lbfgs_minimize(
-        fun_and_grad, sol.B[start], sol.Z[start], hp, config,
-        max_first_step=_SINGLE_ADD_FIRST_STEP if single else None)
-    if single:
-        return B_new, Z_new, np.array([f])
-    contrib = row_contributions(Xc, Yc, B_new, Z_new, hp, task, Z_old=sol.Z,
-                                work=work)
-    return B_new, Z_new, contrib
-
-
 def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
     """What the loss of one new item's row, appended to the solution (B, Z)
     on the items (X, Y) as a copy of old row k, needs besides the item:
@@ -460,54 +437,55 @@ def add_new(sol: Solution, X_new, Y_new,
             one_by_one: bool = False):
     """Add held-out points to a fitted solution without refitting it.
 
-    Returns ``(B_new, Z_new, losses)`` where ``losses[i]`` is the loss
-    contribution of new point i in the incremented problem.  With
-    ``one_by_one`` each point is added independently against the original
-    solution; otherwise the whole batch is optimized jointly.  The stored
-    solution is never mutated.  A point added on its own is the only
-    optimized row of its solve, so its loss is the solve's own value,
-    with no second forward pass; a joint batch makes one more pass to
-    split its loss into rows.
+    Returns ``(B_new, Z_new, losses)``, where ``losses[i]`` is new point
+    i's loss contribution to the incremented problem.  The new rows are
+    optimized against the frozen solution, which is never mutated; each
+    starts as a copy of an old row.  ``one_by_one`` stacks the results of
+    one single-row ``add_new`` call per point.
 
-    Each new row starts as a copy of an old row.  A point added on its own
-    (one row, or ``one_by_one``) starts from the old row k whose copy
-    gives it the lowest loss in the incremented problem,
+    A single row starts from the old row k whose copy gives it the lowest
+    loss in the incremented problem,
 
         f_k = (S_k + w_k L_k(x)) / (1 + w_k) + lambda_z |Z_k|^2
               + lambda_lasso |B_k|_1,
 
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
-    k on the point.  S, w and the penalties come from one n x n forward
-    pass, made once per Solution, on its first single add; each point's
-    start then costs one row of local losses, O(n m).  A training row
-    added again thus starts no worse than its own copy.
-
-    The copy sits at distance zero from its row, inside the distance
-    smoothing, so a single add's first line search starts at that scale:
-    its first trial moves no coordinate more than
-    ``_SINGLE_ADD_FIRST_STEP`` (1e-5), where the default step of up to 1
-    lands far past the kink.  Joint batches keep the default first step,
-    which measured fewer evaluations for them.  Their rows start from the
-    old row whose neighbourhood fits their item best,
-    ``argmin_k (W @ L)[k, i]`` as in :func:`escape`: f
-    ignores the other new rows, and as a batch start it measured worse.
+    k on the point (:func:`_copy_base`, computed once per Solution), so a
+    training row added again starts no worse than its own copy.  The copy
+    sits inside the distance smoothing of its row, so the solve's first
+    trial moves no coordinate more than ``_SINGLE_ADD_FIRST_STEP``, and its
+    value is the row's loss.  Several rows start jointly from the old row
+    whose neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as
+    in :func:`escape` (f ignores the other new rows, and measured worse
+    there), with the default first step; one more forward pass splits the
+    loss into rows.
     """
     X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
                                         Y_new, sol.B)
     k = X_new.shape[0]
-    work = Workspace()
-    if k > 1 and not one_by_one:
-        W_old = softmax_weights(pairwise_distances(sol.Z))
-        start = _best_rows(W_old, sol.B, X_new, Y_new, sol.task)
-        return _add_batch(sol, X_new, Y_new, config, start, work)
-    S, w, pen = sol._start_base
-    B_new = np.empty((k, sol.B.shape[1]))
-    Z_new = np.empty((k, sol.Z.shape[1]))
-    losses = np.empty(k)
-    for i in range(k):
-        x, y = X_new[i:i + 1], Y_new[i:i + 1]
-        L = local_loss_matrix(sol.B, x, y, sol.task)[:, 0]
-        start = [np.argmin((S + w * L) / (1.0 + w) + pen)]
-        B_new[i:i + 1], Z_new[i:i + 1], losses[i:i + 1] = _add_batch(
-            sol, x, y, config, start, work)
-    return B_new, Z_new, losses
+    if k == 0 or one_by_one:
+        parts = [add_new(sol, X_new[i:i + 1], Y_new[i:i + 1], config)
+                 for i in range(k)]
+        empty = sol.B[:0], sol.Z[:0], np.empty(0)
+        return tuple(np.concatenate(a) for a in zip(empty, *parts))
+    Xc, Yc = np.vstack([sol.X, X_new]), np.vstack([sol.Y, Y_new])
+    hp, task, work = sol.hyperparams, sol.task, Workspace()
+
+    def fun_and_grad(Bn, Zn):
+        return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
+                                        work=work)
+
+    def solve(start, max_first_step=None):
+        return lbfgs_minimize(fun_and_grad, sol.B[start], sol.Z[start], hp,
+                              config, max_first_step=max_first_step)
+
+    if k == 1:
+        S, w, pen = sol._start_base
+        L = local_loss_matrix(sol.B, X_new, Y_new, task)[:, 0]
+        B_new, Z_new, f = solve([np.argmin((S + w * L) / (1.0 + w) + pen)],
+                                _SINGLE_ADD_FIRST_STEP)
+        return B_new, Z_new, np.array([f])
+    W_old = softmax_weights(pairwise_distances(sol.Z))
+    B_new, Z_new, _ = solve(_best_rows(W_old, sol.B, X_new, Y_new, task))
+    return B_new, Z_new, row_contributions(Xc, Yc, B_new, Z_new, hp, task,
+                                           Z_old=sol.Z, work=work)

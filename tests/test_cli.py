@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline in temp directories."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -271,10 +272,22 @@ class TestMetrics:
          "loss_history"),
         (lambda doc: json.dumps({**doc, "final_loss": doc["final_loss"] * 2}),
          "final_loss"),
+        (lambda doc: json.dumps({**doc, "n": 99}), "'n'"),
+        (lambda doc: json.dumps({**doc, "m": 7}), "'m'"),
+        (lambda doc: json.dumps({**doc, "p": 5}), "'p'"),
+        (lambda doc: json.dumps({**doc, "outer_iters_used": 99}),
+         "outer_iters_used"),
+        (lambda doc: json.dumps({**doc, "numeric_warning": True}),
+         "numeric_warning"),
+        (lambda doc: json.dumps({**doc, "numeric_warning": 1}),
+         "numeric_warning"),
     ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
             "non-boolean-numeric-warning", "unknown-stop-reason",
             "nan-final-loss", "infinite-final-loss", "nan-in-history",
-            "increasing-history", "empty-history", "final-loss-off-history"])
+            "increasing-history", "empty-history", "final-loss-off-history",
+            "n-off-arrays", "m-off-columns", "p-off-targets",
+            "rounds-off-history", "numeric-warning-off-stop-reason",
+            "numeric-warning-one"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace
@@ -514,6 +527,17 @@ class TestManifest:
             assert doc["command"] == command
             assert doc["inputs"] == {p: sha256(p) for p in inputs}, command
             assert doc["outputs"] == {p: sha256(p) for p in outputs}, command
+
+    def test_plot_lists_labels_whenever_given(self, workspace, tmp_path):
+        """The labels file is an input of ``plot`` whatever ``--color-by``
+        says, as it is to the overwrite guard."""
+        _, gen, sol_path = workspace
+        labels, out = str(gen / "labels.csv"), tmp_path / "p.svg"
+        assert main(["plot", "--solution", str(sol_path), "--color-by",
+                     "loss", "--labels", labels, "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "p.svg.manifest.json").read_text())
+        assert doc["inputs"] == {str(sol_path): sha256(sol_path),
+                                 labels: sha256(labels)}
 
     def test_header_only_add_writes_no_manifest(self, workspace, tmp_path):
         _, _, sol_path = workspace
@@ -851,6 +875,19 @@ class TestOutputDigestsTool:
                          "gen/labels.csv", "gen/true_coefs.csv", "models.svg",
                          "plot.svg", "report.csv", "report.json", "sol.json",
                          "sweep.csv"]
+
+    def test_thread_variables_are_the_packages(self):
+        """The tool sets the BLAS thread variables before numpy loads, so it
+        names them itself; its tuple must be the package's.  It is read
+        from the source, since importing the tool would set them."""
+        path = Path(__file__).resolve().parent.parent / "tools" \
+            / "output_digests.py"
+        tree = ast.parse(path.read_text())
+        values = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets
+                       if isinstance(t, ast.Name)] == ["THREAD_VARIABLES"]]
+        assert values == [slisemap.BLAS_THREAD_VARIABLES]
 
 
 class TestConsoleEntryPoint:

@@ -409,6 +409,40 @@ class TestAddNew:
             want = np.concatenate(parts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_first_step_cap_only_for_single_rows(self, small_fit,
+                                                 monkeypatch):
+        """A joint batch solves with the default first step; each row of a
+        ``one_by_one`` add solves on its own under the single-add cap."""
+        _, sol = small_fit
+        caps = []
+        minimize = lbfgs.minimize
+
+        def recording(*args, **kwargs):
+            caps.append(kwargs["max_first_step"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(lbfgs, "minimize", recording)
+        add_new(sol, sol.X[:3], sol.Y[:3], SolverConfig(seed=11))
+        assert caps == [None]
+        caps.clear()
+        add_new(sol, sol.X[:3], sol.Y[:3], SolverConfig(seed=11),
+                one_by_one=True)
+        assert caps == [solver._SINGLE_ADD_FIRST_STEP] * 3
+
+    @pytest.mark.parametrize("one_by_one", [False, True])
+    def test_zero_rows_add_nothing(self, small_fit, monkeypatch, one_by_one):
+        _, sol = small_fit
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran for no rows")
+
+        monkeypatch.setattr(lbfgs, "minimize", no_solve)
+        B_new, Z_new, losses = add_new(sol, sol.X[:0], sol.Y[:0],
+                                       one_by_one=one_by_one)
+        assert B_new.shape == (0, sol.B.shape[1])
+        assert Z_new.shape == (0, sol.Z.shape[1])
+        assert losses.shape == (0,)
+
     def test_single_adds_share_one_forward_pass(self, small_fit,
                                                 monkeypatch):
         """Three single adds on one Solution make one forward pass over its

@@ -28,7 +28,12 @@ BLAS runs on one thread, since its thread count changes the outputs.
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# slisemap.BLAS_THREAD_VARIABLES, named again here: the package imports
+# numpy, so reading the tuple from it would set them too late.  A test keeps
+# the two equal.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _var in THREAD_VARIABLES:
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
