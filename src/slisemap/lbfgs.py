@@ -1,22 +1,28 @@
 """Limited-memory quasi-Newton minimizer with a strong Wolfe line search.
 
 A self-contained L-BFGS over flat float64 vectors: two-loop recursion for
-the search direction, bracketing + zoom line search with cubic
-interpolation enforcing the strong Wolfe conditions (c1 = 1e-4, c2 = 0.9),
-and curvature-guarded history updates.
+the search direction, a line search enforcing the strong Wolfe conditions
+(c1 = 1e-4, c2 = 0.9), and curvature-guarded history updates.
+
+The line search is one loop over trial steps.  It keeps the lowest trial
+with sufficient decrease as the low end of a bracket; until a trial
+brackets a Wolfe step there is no upper end, and each trial doubles the
+step (up to 1e10).  With both ends, a trial is the cubic interpolant's
+minimizer (Nocedal and Wright, Numerical Optimization, Algorithms 3.5
+and 3.6).  One rule moves either end in both phases.
 
 The first iteration tries the steepest-descent step of length
-min(1, 1 / max(1, |g|_1)) (Nocedal and Wright, Numerical Optimization,
-section 3.5); later ones try the unit quasi-Newton step.  A caller that
-knows the scale its start is curved on passes ``max_first_step``, which
-caps the first trial's move in every coordinate.
+min(1, 1 / max(1, |g|_1)) (Nocedal and Wright, section 3.5); later ones
+try the unit quasi-Newton step.  A caller that knows the scale its start
+is curved on passes ``max_first_step``, which caps the first trial's move
+in every coordinate.
 
-The zoom keeps each trial step at least a tenth of the bracket inside it:
-a cubic minimizer closer to an end is moved to that distance (the
-safeguard of More and Thuente, ACM TOMS 1994), and only a cubic without a
-minimizer falls back to bisection.  A step far past a kink, such as the
-first steepest-descent step of a point added as a copy of an old row,
-thus shrinks the bracket tenfold per evaluation instead of halving it.
+A bracketed trial stays at least a tenth of the bracket inside it: a
+cubic minimizer closer to an end is moved to that distance (the safeguard
+of More and Thuente, ACM TOMS 1994), and only a cubic without a minimizer
+falls back to bisection.  A step far past a kink, such as the first
+steepest-descent step of a point added as a copy of an old row, thus
+shrinks the bracket tenfold per evaluation instead of halving it.
 
 Termination, named by ``MinimizeResult.reason``: gradient sup-norm below
 ``_GRAD_TOL``, relative loss improvement below ``rel_tol``, the iteration
@@ -77,70 +83,39 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
     best point evaluated is returned instead (alpha may be 0).
     """
     dphi0 = float(g0 @ p)
-    phi0 = f0
+    # lo: the lowest trial with sufficient decrease; hi: the other end of
+    # the bracket holding a Wolfe step, None until a trial brackets one.
+    lo, f_lo, d_lo = 0.0, f0, dphi0
+    hi = f_hi = d_hi = None
     best_a, best_f, best_g = 0.0, f0, None  # best finite point evaluated
     evals = 0
-
-    def phi(a):
-        nonlocal evals, best_a, best_f, best_g
+    while evals < _MAX_LS_EVALS:
+        if hi is None:  # no upper end yet: never stop on the span
+            span = math.inf
+            a = alpha0 if evals == 0 else min(2.0 * lo, 1e10)
+        else:  # the cubic's minimizer, a tenth of the span inside; or bisect
+            span = abs(hi - lo)
+            a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
+            a = 0.5 * (lo + hi) if a is None else min(
+                max(a, min(lo, hi) + 0.1 * span), max(lo, hi) - 0.1 * span)
         f, g = fg(x + a * p)
         evals += 1
+        d = float(g @ p)
         if np.isfinite(f) and f < best_f:
             best_a, best_f, best_g = a, f, g
-        return f, g
-
-    def wolfe2(dphi):
-        return abs(dphi) <= -_C2 * dphi0
-
-    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
-        # Invariant: lo satisfies the sufficient-decrease condition and has
-        # the lowest such value; the minimizer lies between lo and hi.
-        for _ in range(_MAX_LS_EVALS - evals):
-            a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
-            span = abs(hi - lo)
-            left, right = min(lo, hi), max(lo, hi)
-            if a is None:
-                a = 0.5 * (lo + hi)
-            else:  # keep the trial a tenth of the span inside the bracket
-                a = min(max(a, left + 0.1 * span), right - 0.1 * span)
-            f, g = phi(a)
-            d = float(g @ p)
-            if not np.isfinite(f) or f > phi0 + _C1 * a * dphi0 or f >= f_lo:
-                hi, f_hi, d_hi = a, f, d
-            else:
-                if wolfe2(d):
-                    return a, f, g, True
-                if d * (hi - lo) >= 0.0:
-                    hi, f_hi, d_hi = lo, f_lo, d_lo
-                lo, f_lo, d_lo = a, f, d
-            if span <= 1e-14 * max(1.0, abs(lo)):
-                break
-        return None, None, None, False
-
-    prev_a, prev_f, prev_d = 0.0, phi0, dphi0
-    a = alpha0
-    first = True
-    while evals < _MAX_LS_EVALS:
-        f, g = phi(a)
-        d = float(g @ p)
-        if not np.isfinite(f) or f > phi0 + _C1 * a * dphi0 or (f >= prev_f and not first):
-            res = zoom(prev_a, prev_f, prev_d, a, f, d)
+        # The first trial may pass sufficient decrease with f == f0, as
+        # when the step is below the loss's rounding; it is not bracketed.
+        if (not np.isfinite(f) or f > f0 + _C1 * a * dphi0
+                or (f >= f_lo and evals > 1)):
+            hi, f_hi, d_hi = a, f, d
+        elif abs(d) <= -_C2 * dphi0:
+            return a, f, g, evals, True
+        else:
+            if d * (1.0 if hi is None else hi - lo) >= 0.0:
+                hi, f_hi, d_hi = lo, f_lo, d_lo
+            lo, f_lo, d_lo = a, f, d
+        if span <= 1e-14 * max(1.0, abs(lo)):
             break
-        if wolfe2(d):
-            res = (a, f, g, True)
-            break
-        if d >= 0.0:
-            res = zoom(a, f, d, prev_a, prev_f, prev_d)
-            break
-        prev_a, prev_f, prev_d = a, f, d
-        a = min(2.0 * a, 1e10)
-        first = False
-    else:
-        res = (None, None, None, False)
-
-    if res[3]:
-        a, f, g = res[:3]
-        return a, f, g, evals, True
     # Salvage whatever decreased the loss the most.
     if best_a > 0.0 and best_f < f0:
         return best_a, best_f, best_g, evals, False
@@ -168,7 +143,9 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
     ``fun_and_grad(x)`` must return ``(float, ndarray)``.  The returned
     point is the best accepted iterate, ``x0`` included, so
     ``result.fun <= f(x0)``; a trial step the line search rejects is
-    never returned, even when it is lower than the step it accepts.
+    never returned, even when it is lower than the step it accepts.  An
+    accepted step may leave the loss unchanged; of the iterates at the
+    best loss the earliest is returned.
     ``max_first_step``, if given, bounds how far the first iteration's
     trial point moves any coordinate from ``x0``.
     """
@@ -206,7 +183,7 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
         a, f_new, g_new, evals, ok = _strong_wolfe(
             fun_and_grad, x, p, f, g, alpha0)
         n_evals += evals
-        if not ok and (f_new >= f or a == 0.0):
+        if a == 0.0:
             reason = "line-search"
             break
         s = a * p

@@ -67,6 +67,14 @@ class SolverConfig:
                              f"got {self.rel_tol!r}")
 
 
+def _check_finite(**arrays):
+    """Raise a DataError naming the first of ``arrays`` that has a
+    non-finite entry."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise DataError(f"{name} has non-finite entries")
+
+
 @dataclass(eq=False)
 class Solution:
     """A fitted model: data, local models, embedding and the fit's record.
@@ -76,8 +84,8 @@ class Solution:
     for the binary-logit task).  ``normalization`` maps raw features into
     X's basis (``data.apply_normalization``).  Construction checks every
     length and shape against (X, Y), raising a ShapeError, and rejects
-    non-finite entries and a ``loss_history`` that is empty or increases
-    with a DataError.
+    non-finite entries, a normalization std at or below 0 and a
+    ``loss_history`` that is empty or increases with a DataError.
 
     A Solution is read-only after construction: its record and the start
     base of single adds (computed on the first one and kept) describe the
@@ -111,10 +119,10 @@ class Solution:
         if got != want:
             raise ShapeError("column_names, target_names or normalization "
                              "length does not match", expected=want, got=got)
-        for k, a in (("X", self.X), ("Y", self.Y), ("B", self.B),
-                     ("Z", self.Z), ("normalization", (norm.mean, norm.std))):
-            if not np.isfinite(a).all():
-                raise DataError(f"{k} has non-finite entries")
+        _check_finite(X=self.X, Y=self.Y, B=self.B, Z=self.Z,
+                      normalization=(norm.mean, norm.std))
+        if not (norm.std > 0.0).all():
+            raise DataError("normalization std has entries <= 0")
         h = self.loss_history
         if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
             raise DataError("loss_history is empty, non-finite or "
@@ -337,13 +345,15 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     such a gain (``"no-gain"``; escape may visit worse basins first), after
     ``config.max_outer_iters`` rounds (``"max-outer-iters"``), or on a
     numeric failure (``"numeric"``); ``Solution.stop_reason`` says which.
-    ``config.rel_tol`` is the inner L-BFGS tolerance only.
+    ``config.rel_tol`` is the inner L-BFGS tolerance only.  Non-finite
+    entries of X or Y are a DataError naming the array.
 
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
     when fitting plain matrices.
     """
     X, Y, _, _, _ = _as_problem(task, X, Y)
+    _check_finite(X=X, Y=Y)
     n, n_cols = X.shape
     if n < 2:
         raise SlisemapError(f"need at least 2 data items to embed, got {n}")

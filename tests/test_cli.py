@@ -281,13 +281,21 @@ class TestMetrics:
          "numeric_warning"),
         (lambda doc: json.dumps({**doc, "numeric_warning": 1}),
          "numeric_warning"),
+        (lambda doc: json.dumps({**doc, "normalization": {
+            **doc["normalization"],
+            "std": [0.0] + doc["normalization"]["std"][1:]}}),
+         "normalization"),
+        (lambda doc: json.dumps({**doc, "normalization": {
+            **doc["normalization"],
+            "std": [-1.0] + doc["normalization"]["std"][1:]}}),
+         "normalization"),
     ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
             "non-boolean-numeric-warning", "unknown-stop-reason",
             "nan-final-loss", "infinite-final-loss", "nan-in-history",
             "increasing-history", "empty-history", "final-loss-off-history",
             "n-off-arrays", "m-off-columns", "p-off-targets",
             "rounds-off-history", "numeric-warning-off-stop-reason",
-            "numeric-warning-one"])
+            "numeric-warning-one", "zero-std", "negative-std"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace
@@ -888,6 +896,39 @@ class TestOutputDigestsTool:
                   and [t.id for t in node.targets
                        if isinstance(t, ast.Name)] == ["THREAD_VARIABLES"]]
         assert values == [slisemap.BLAS_THREAD_VARIABLES]
+
+
+class TestCodeLinesTool:
+    @staticmethod
+    def run(*args):
+        tool = Path(__file__).resolve().parent.parent / "tools" \
+            / "code_lines.py"
+        proc = subprocess.run([sys.executable, str(tool), *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return [(name, int(n)) for name, n in map(str.split,
+                                                  proc.stdout.splitlines())]
+
+    def test_total_is_the_sum_of_the_modules(self):
+        rows = self.run()
+        package = Path(slisemap.__file__).parent
+        assert [name for name, _ in rows[:-1]] == sorted(
+            p.name for p in package.glob("*.py"))
+        assert rows[-1] == ("total", sum(n for _, n in rows[:-1]))
+
+    def test_counts_neither_comments_nor_docstrings(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            '"""Module\ndocstring."""\n\n'
+            '# a comment\n'
+            'def f():\n'
+            '    """Function docstring."""\n'
+            '    return """two\nlines"""  # code\n\n\n'
+            'class C:\n'
+            '    """Class\n\n    docstring."""\n'
+            '    x = 1\n')
+        (tmp_path / "b.py").write_text("x = (1,\n     2)\n")
+        assert self.run(str(tmp_path)) == [("a.py", 5), ("b.py", 2),
+                                           ("total", 7)]
 
 
 class TestConsoleEntryPoint:

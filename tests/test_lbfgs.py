@@ -1,6 +1,8 @@
 """Tests for the quasi-Newton core: standard problems, the strong-Wolfe
 contract, and termination behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -186,3 +188,191 @@ class TestFirstStep:
         alpha0 = min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
         np.testing.assert_array_equal(first_trial(fg, x0, **kwargs),
                                       x0 + alpha0 * -g)
+
+
+def two_phase_strong_wolfe(fg, x, p, f0, g0, alpha0):
+    """Reference line search: the earlier two-phase form of
+    ``lbfgs._strong_wolfe``, a bracketing loop that hands over to a nested
+    zoom.  The one-loop form must make the same trials and returns."""
+    _C1, _C2, _MAX_LS_EVALS = lbfgs._C1, lbfgs._C2, lbfgs._MAX_LS_EVALS
+    dphi0 = float(g0 @ p)
+    phi0 = f0
+    best_a, best_f, best_g = 0.0, f0, None  # best finite point evaluated
+    evals = 0
+
+    def phi(a):
+        nonlocal evals, best_a, best_f, best_g
+        f, g = fg(x + a * p)
+        evals += 1
+        if np.isfinite(f) and f < best_f:
+            best_a, best_f, best_g = a, f, g
+        return f, g
+
+    def wolfe2(dphi):
+        return abs(dphi) <= -_C2 * dphi0
+
+    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
+        for _ in range(_MAX_LS_EVALS - evals):
+            a = lbfgs._cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
+            span = abs(hi - lo)
+            left, right = min(lo, hi), max(lo, hi)
+            if a is None:
+                a = 0.5 * (lo + hi)
+            else:
+                a = min(max(a, left + 0.1 * span), right - 0.1 * span)
+            f, g = phi(a)
+            d = float(g @ p)
+            if not np.isfinite(f) or f > phi0 + _C1 * a * dphi0 or f >= f_lo:
+                hi, f_hi, d_hi = a, f, d
+            else:
+                if wolfe2(d):
+                    return a, f, g, True
+                if d * (hi - lo) >= 0.0:
+                    hi, f_hi, d_hi = lo, f_lo, d_lo
+                lo, f_lo, d_lo = a, f, d
+            if span <= 1e-14 * max(1.0, abs(lo)):
+                break
+        return None, None, None, False
+
+    prev_a, prev_f, prev_d = 0.0, phi0, dphi0
+    a = alpha0
+    first = True
+    while evals < _MAX_LS_EVALS:
+        f, g = phi(a)
+        d = float(g @ p)
+        if (not np.isfinite(f) or f > phi0 + _C1 * a * dphi0
+                or (f >= prev_f and not first)):
+            res = zoom(prev_a, prev_f, prev_d, a, f, d)
+            break
+        if wolfe2(d):
+            res = (a, f, g, True)
+            break
+        if d >= 0.0:
+            res = zoom(a, f, d, prev_a, prev_f, prev_d)
+            break
+        prev_a, prev_f, prev_d = a, f, d
+        a = min(2.0 * a, 1e10)
+        first = False
+    else:
+        res = (None, None, None, False)
+
+    if res[3]:
+        a, f, g = res[:3]
+        return a, f, g, evals, True
+    if best_a > 0.0 and best_f < f0:
+        return best_a, best_f, best_g, evals, False
+    return 0.0, f0, g0, evals, False
+
+
+def diagonal_quadratic(curvatures, center):
+    def fg(x):
+        d = x - center
+        return float(0.5 * d @ (curvatures * d)), curvatures * d
+
+    return fg
+
+
+def finite_within(radius):
+    """|x|^2 inside the ball of ``radius``, +inf (with a NaN gradient)
+    outside it."""
+    def fg(x):
+        if float(x @ x) > radius * radius:
+            return math.inf, np.full_like(x, np.nan)
+        return float(x @ x), 2.0 * x
+
+    return fg
+
+
+def flat(x):
+    """f = 1 - 1e-30 x: every step passes sufficient decrease with
+    f == f(0)."""
+    return 1.0 - 1e-30 * float(x[0]), np.array([-1e-30])
+
+
+def line_search_case(rng):
+    """A seeded random line search: (fg, x, p, alpha0)."""
+    kind = rng.integers(5)
+    if kind == 0:
+        n = int(rng.integers(1, 5))
+        fg = diagonal_quadratic(10.0 ** rng.uniform(-4, 4, n),
+                                rng.standard_normal(n))
+        x = rng.standard_normal(n) * 3
+    elif kind == 1:
+        fg, x = rosenbrock, rng.uniform(-2, 2, 2)
+    elif kind == 2:
+        fg = finite_within(float(rng.uniform(0.5, 3)))
+        x = rng.standard_normal(3) * 0.2
+    elif kind == 3:
+        fg, x = kinked, rng.uniform(-1e-3, 1e-3, 1)
+    else:
+        fg, x = flat, rng.standard_normal(1)
+    g = fg(x)[1]
+    p = rng.standard_normal(len(x)) * 10.0 ** rng.uniform(-2, 2)
+    if float(g @ p) > 0.0:
+        p = -p
+    if not float(g @ p) < 0.0:
+        p = -g
+    return fg, x, p, float(10.0 ** rng.uniform(-12, 3))
+
+
+def both_line_searches(fg, x, p, alpha0):
+    """Run ``lbfgs._strong_wolfe`` and the two-phase reference on the same
+    line search; assert equal trials and returns, and return the trial
+    steps and the result."""
+    f0, g0 = fg(x)
+    runs = []
+    for search in (lbfgs._strong_wolfe, two_phase_strong_wolfe):
+        trials = []
+
+        def recording(y):
+            trials.append(y.copy())
+            return fg(y)
+
+        runs.append((trials, search(recording, x, p, f0, g0, alpha0)))
+    (new_trials, new), (ref_trials, ref) = runs
+    assert len(new_trials) == len(ref_trials)
+    for a, b in zip(new_trials, ref_trials):
+        assert a.tobytes() == b.tobytes()
+    alpha, f, g, evals, ok = new
+    assert (alpha, f, evals, ok) == (ref[0], ref[1], ref[3], ref[4])
+    assert np.asarray(g).tobytes() == np.asarray(ref[2]).tobytes()
+    steps = [float((t - x) @ p / (p @ p)) for t in new_trials]
+    return steps, new
+
+
+class TestLineSearchMatchesTwoPhase:
+    def test_seeded_battery(self):
+        rng = np.random.default_rng(20221018)
+        outcomes = set()
+        for _ in range(400):
+            _, (_, _, _, evals, ok) = both_line_searches(
+                *line_search_case(rng))
+            outcomes.add((ok, evals == lbfgs._MAX_LS_EVALS))
+        # both successes and failures, capped or not, were reached
+        assert {(True, False), (False, False), (False, True)} <= outcomes
+
+    def test_expansion_doubles_the_step_up_to_its_cap(self):
+        # Wolfe steps start at 9e9: the doubling from 1e3 reaches 8.4e9 and
+        # is then capped at 1e10, which is accepted
+        c = 9e10
+        steps, (alpha, _, _, evals, ok) = both_line_searches(
+            diagonal_quadratic(np.array([2.0 / c ** 2]), np.array([c])),
+            np.zeros(1), np.ones(1), 1e3)
+        assert ok and alpha == 1e10
+        assert steps == [1e3 * 2.0 ** i for i in range(evals - 1)] + [1e10]
+
+    def test_non_finite_trial_brackets(self):
+        fg = finite_within(1.0)
+        steps, (alpha, f, _, _, ok) = both_line_searches(
+            fg, np.array([0.5]), -np.ones(1), 100.0)
+        assert not np.isfinite(fg(0.5 - np.array([steps[0]]))[0])
+        assert ok and np.isfinite(f) and 0.0 < alpha < 100.0
+
+    def test_evaluation_cap(self):
+        def fg(x):
+            return float(np.abs(x).sum()), np.sign(x)
+
+        _, (alpha, f, _, evals, ok) = both_line_searches(
+            fg, np.array([0.3]), -np.ones(1), 1.0)
+        assert evals == lbfgs._MAX_LS_EVALS and not ok
+        assert 0.0 < alpha and f < 0.3

@@ -11,8 +11,8 @@ from hypothesis import assume, given
 
 from conftest import problems, random_instance, scalar_row_contribution
 from slisemap import lbfgs, objective, solver
-from slisemap.data import RsynthSpec, generate_rsynth
-from slisemap.errors import NumericError, ShapeError, SlisemapError
+from slisemap.data import Normalization, RsynthSpec, generate_rsynth
+from slisemap.errors import DataError, NumericError, ShapeError, SlisemapError
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, added_loss_and_gradients,
                                 local_loss_matrix, pairwise_distances,
@@ -227,6 +227,20 @@ class TestFit:
         with pytest.raises(ShapeError):
             fit(X, Y[:-1], Hyperparams(lambda_z=0.1), REG)
 
+    @pytest.mark.parametrize("name, value", [("X", float("nan")),
+                                             ("Y", float("inf"))])
+    def test_non_finite_data_rejected_before_init(self, name, value, rng,
+                                                  monkeypatch):
+        data = dict(zip("XY", random_instance(REG, 6, 3, 2, rng)))
+        data[name][2, 0] = value
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init ran before the finiteness check")
+
+        monkeypatch.setattr(solver, "init", no_init)
+        with pytest.raises(DataError, match=f"{name} has non-finite"):
+            fit(data["X"], data["Y"], Hyperparams(lambda_z=0.1), REG)
+
     @pytest.mark.parametrize("where", ["first-call", "later-round"])
     def test_numeric_failure_returns_a_consistent_state(self, where,
                                                         monkeypatch):
@@ -357,6 +371,15 @@ class TestFit:
         assert back.final_loss == sol.final_loss
         back = Solution.from_json_dict({**doc, "numeric_warning": True})
         assert back.stop_reason == "numeric"
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_non_positive_std_is_data_error(self, small_fit, std):
+        _, sol = small_fit
+        scale = sol.normalization.std.copy()
+        scale[0] = std
+        with pytest.raises(DataError, match="normalization"):
+            dataclasses.replace(sol, normalization=Normalization(
+                mean=sol.normalization.mean, std=scale))
 
     def test_record_fields_are_derived(self, small_fit):
         _, sol = small_fit
