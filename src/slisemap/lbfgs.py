@@ -7,9 +7,10 @@ the search direction, a line search enforcing the strong Wolfe conditions
 The line search is one loop over trial steps.  It keeps the lowest trial
 with sufficient decrease as the low end of a bracket; until a trial
 brackets a Wolfe step there is no upper end, and each trial doubles the
-step (up to 1e10).  With both ends, a trial is the cubic interpolant's
-minimizer (Nocedal and Wright, Numerical Optimization, Algorithms 3.5
-and 3.6).  One rule moves either end in both phases.
+step, up to 1e10 (a search whose low end reaches that cap fails there).
+With both ends, a trial is the cubic interpolant's minimizer (Nocedal and
+Wright, Numerical Optimization, Algorithms 3.5 and 3.6).  One rule moves
+either end in both phases.
 
 The first iteration tries the steepest-descent step of length
 min(1, 1 / max(1, |g|_1)) (Nocedal and Wright, section 3.5); later ones
@@ -44,6 +45,7 @@ _C2 = 0.9
 _GRAD_TOL = 1e-9
 _MAX_LS_EVALS = 30  # objective evaluations per line search
 _HISTORY = 10  # curvature pairs kept
+_MAX_STEP = 1e10  # largest trial step
 
 
 @dataclass
@@ -64,25 +66,25 @@ def _cubic_min(a, fa, da, b, fb, db):
     disc = d1 * d1 - da * db
     if disc < 0.0:
         return None
-    d2 = np.sqrt(disc)
+    d2 = math.sqrt(disc)
     if a > b:
         d2 = -d2
     denom = db - da + 2.0 * d2
     if denom == 0.0:
         return None
     t = b - (b - a) * (db + d2 - d1) / denom
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         return None
     return t
 
 
-def _strong_wolfe(fg, x, p, f0, g0, alpha0):
-    """Find a step along ``p`` satisfying the strong Wolfe conditions.
+def _strong_wolfe(fg, x, p, f0, g0, dphi0, alpha0):
+    """Find a step along ``p`` satisfying the strong Wolfe conditions;
+    ``dphi0`` is the slope g0 . p at the start.
 
     Returns (alpha, f, g, n_evals, ok).  On failure ok is False and the
     best point evaluated is returned instead (alpha may be 0).
     """
-    dphi0 = float(g0 @ p)
     # lo: the lowest trial with sufficient decrease; hi: the other end of
     # the bracket holding a Wolfe step, None until a trial brackets one.
     lo, f_lo, d_lo = 0.0, f0, dphi0
@@ -92,7 +94,9 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
     while evals < _MAX_LS_EVALS:
         if hi is None:  # no upper end yet: never stop on the span
             span = math.inf
-            a = alpha0 if evals == 0 else min(2.0 * lo, 1e10)
+            a = alpha0 if evals == 0 else min(2.0 * lo, _MAX_STEP)
+            if evals and a == lo:  # the capped step kept decreasing
+                break
         else:  # the cubic's minimizer, a tenth of the span inside; or bisect
             span = abs(hi - lo)
             a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
@@ -100,12 +104,12 @@ def _strong_wolfe(fg, x, p, f0, g0, alpha0):
                 max(a, min(lo, hi) + 0.1 * span), max(lo, hi) - 0.1 * span)
         f, g = fg(x + a * p)
         evals += 1
-        d = float(g @ p)
-        if np.isfinite(f) and f < best_f:
+        d = float(g.dot(p))
+        if math.isfinite(f) and f < best_f:
             best_a, best_f, best_g = a, f, g
         # The first trial may pass sufficient decrease with f == f0, as
         # when the step is below the loss's rounding; it is not bracketed.
-        if (not np.isfinite(f) or f > f0 + _C1 * a * dphi0
+        if (not math.isfinite(f) or f > f0 + _C1 * a * dphi0
                 or (f >= f_lo and evals > 1)):
             hi, f_hi, d_hi = a, f, d
         elif abs(d) <= -_C2 * dphi0:
@@ -126,12 +130,12 @@ def _two_loop(g, pairs, gamma):
     q = -g
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * y
     q *= gamma
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return q
 
@@ -166,13 +170,13 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
             break
         it += 1
         p = _two_loop(g, pairs, gamma)
-        dphi0 = float(g @ p)
-        if not np.isfinite(dphi0) or dphi0 >= 0.0:
+        dphi0 = float(g.dot(p))
+        if not math.isfinite(dphi0) or dphi0 >= 0.0:
             # Defective curvature memory: restart from steepest descent.
             pairs.clear()
             gamma = 1.0
             p = -g
-            dphi0 = -float(g @ g)
+            dphi0 = -float(g.dot(g))
         if pairs:
             alpha0 = 1.0
         else:
@@ -181,17 +185,17 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
             alpha0 = min(alpha0,
                          max_first_step / float(np.abs(p).max(initial=0.0)))
         a, f_new, g_new, evals, ok = _strong_wolfe(
-            fun_and_grad, x, p, f, g, alpha0)
+            fun_and_grad, x, p, f, g, dphi0, alpha0)
         n_evals += evals
         if a == 0.0:
             reason = "line-search"
             break
         s = a * p
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        if sy > 1e-10 * math.sqrt(float(s.dot(s))) * math.sqrt(yy):
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / float(y @ y)
+            gamma = sy / yy
         x = x + s
         improvement = f - f_new
         stall_bar = rel_tol * max(abs(f), abs(f_new), 1.0)

@@ -111,14 +111,21 @@ def check_k(k: int, n: int) -> None:
 def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbours of every row of ``Z``.
 
-    Self is excluded; ties break toward the smaller index (stable sort).
-    The first j columns of the result are the j nearest neighbours.
+    Self is excluded; ties break toward the smaller index, as the first k
+    columns of a stable argsort of each distance row would.  The first j
+    columns of the result are the j nearest neighbours.
     """
     Z = np.asarray(Z, dtype=float)
     check_k(k, Z.shape[0])
     D = pairwise_distances(Z)
     np.fill_diagonal(D, np.inf)
-    order = np.argsort(D, axis=1, kind="stable")
+    # An unstable sort gives the stable order of a row's first k wherever
+    # its k + 1 smallest distances are distinct; rows with ties (or NaN)
+    # among them are sorted again, stably.
+    order = np.argsort(D, axis=1)[:, :k + 1]
+    near = np.take_along_axis(D, order, axis=1)
+    tied = (near[:, 1:] == near[:, :-1]).any(axis=1) | np.isnan(near[:, -1])
+    order[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, :k + 1]
     return order[:, :k]
 
 

@@ -24,11 +24,23 @@ k x N planes (probabilities and Hellinger terms) for p-class
 classification.  A solve lends one Workspace to all of its evaluations,
 so after the first one they allocate nothing of size k x N; at n = 1000 a
 regression solve holds 40 MB of buffers and a 3-class one 88 MB.
+
+The Workspace also keeps what stays fixed over a solve, so that each
+evaluation after the first runs only arithmetic on (B, Z); in a small
+solve (a single add has k = 1) set-up repeated per call would be a large
+share of each evaluation.  It keeps the checked (X, Y, Z_old), recognized
+by identity, against which a later call checks only the shapes of B and
+Z; an N x d stacked embedding with the frozen rows written once and the
+optimized rows written per call; the frozen rows' squared norms; and the
+view of the k self-pairs (i, n_old + i) of the distance buffer.  An
+evaluation enters one ``errstate``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import is_
 
 import numpy as np
 
@@ -38,6 +50,11 @@ from .model import TaskKind
 # Smoothing inside the distance derivative only; keeps the gradient finite
 # when two embedding rows coincide.
 _DIST_GRAD_EPS = 1e-12
+
+# Overflow in a loss surfaces as a NumericError on the non-finite total, not
+# as a runtime warning.  Each entry point enters it once, as a decorator,
+# which unlike a ``with`` block may be entered again and from any thread.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -58,16 +75,33 @@ class Hyperparams:
 
 
 class Workspace:
-    """Buffers that successive loss evaluations of one solve reuse.
+    """What the loss evaluations of one solve share.
 
-    A buffer is allocated on first use and again only when a later call
-    asks for a different shape.  Values returned to the caller are never
-    views of these buffers, so a later call cannot change them.  Not safe
-    to share between threads.
+    - Buffers: each is allocated on first use and again only when a later
+      call asks for a different shape.
+    - The checked problem: the last call's (X, Y, Z_old) in the form the
+      kernel uses.  A later call with the same array objects, task and
+      embedding width checks only the shapes of B and Z.
+    - The stacked embedding ``Z_all``: the frozen rows ``Z_old``, written
+      once, over the optimized rows, written per call (for the full
+      problem, the optimized rows themselves); its squared row norms
+      ``sq_all``, the frozen rows' computed once, and ``sq`` the optimized
+      rows'; the k x N distance buffer ``D`` and the view ``D_self`` of its
+      self-pairs (i, n_old + i).
+
+    The Workspace keeps the arrays it is given and recognizes them by
+    identity, so they must not change in place while it is in use.  Values
+    returned to the caller are never views of its buffers, so a later call
+    cannot change them.  Not safe to share between threads.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
+        self._given = None  # (task, d, X, Y, Z_old) of the last checked call
+        self._checked = None  # their checked (X, Y, Z_old), (B, Z) shapes
+        self._stacked_on = None  # (Z_old or None, Z.shape) of the stacking
+        self._Z_new = None  # the optimized rows of Z_all
+        self.Z_all = self.sq_all = self.sq = self.D = self.D_self = None
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of ``shape`` kept under ``name``."""
@@ -76,6 +110,48 @@ class Workspace:
             buf = self._buffers[name] = np.empty(shape)
         return buf
 
+    def checked(self, task: TaskKind, X, Y, B, Z, d, Z_old):
+        """``_as_problem(task, X, Y, B, Z, d, Z_old)``, checking (X, Y,
+        Z_old) only when they are not the arrays of the last call."""
+        given = (task, d, X, Y, Z_old)
+        if self._given is not None and all(map(is_, given, self._given)):
+            X, Y, Z_old, shapes = self._checked
+            B = np.asarray(B, dtype=float)
+            Z = np.ascontiguousarray(Z, dtype=float)
+            if (B.shape, Z.shape) == shapes:
+                return X, Y, B, Z, Z_old
+        X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, d, Z_old)
+        self._given = given
+        self._checked = X, Y, Z_old, (B.shape, Z.shape)
+        return X, Y, B, Z, Z_old
+
+    def stack(self, Z_old: np.ndarray, Z: np.ndarray) -> None:
+        """Set ``Z_all``, ``sq_all`` and ``sq`` for the rows ``Z`` after the
+        frozen rows ``Z_old``; the frozen rows, their norms and ``D`` are
+        set up again only when Z_old or Z's shape differs from the last
+        call's."""
+        n_old = Z_old.shape[0]
+        frozen = Z_old if n_old else None
+        on = self._stacked_on
+        if on is None or on[0] is not frozen or on[1] != Z.shape:
+            k, d = Z.shape
+            N = n_old + k
+            self.D = np.empty((k, N))
+            self.D_self = _self_pairs(self.D, n_old)
+            self.sq_all = np.empty(N)
+            self.sq = self.sq_all[n_old:]
+            if n_old:
+                self.Z_all = np.empty((N, d))
+                self.Z_all[:n_old] = Z_old
+                self._Z_new = self.Z_all[n_old:]
+                np.einsum("ij,ij->i", Z_old, Z_old, out=self.sq_all[:n_old])
+            self._stacked_on = frozen, Z.shape
+        if n_old:
+            self._Z_new[...] = Z
+        else:
+            self.Z_all = Z
+        np.einsum("ij,ij->i", Z, Z, out=self.sq)
+
 
 def _self_pairs(A: np.ndarray, n_old: int) -> np.ndarray:
     """View of the entries (i, n_old + i) of a C-contiguous k x N array:
@@ -83,22 +159,23 @@ def _self_pairs(A: np.ndarray, n_old: int) -> np.ndarray:
     return A.reshape(-1)[n_old::A.shape[1] + 1]
 
 
-def _distances_into(D, Z, Z_all, n_old, scratch) -> None:
-    """Distances from the rows of ``Z`` (rows n_old.. of ``Z_all``) to every
-    row of ``Z_all``, written to ``D``; self-distances are exactly zero.
+def _distances(work: Workspace, Z_old, Z, scratch) -> np.ndarray:
+    """Distances from the rows of ``Z`` to the frozen rows ``Z_old`` and to
+    ``Z``, in ``work.D``; self-distances are exactly zero.
 
     For the full problem ``Z_all`` is ``Z`` itself (C-contiguous), so the
     Gram product is exactly symmetric and so is ``D``.
     """
-    sq = np.einsum("ij,ij->i", Z, Z)
-    sq_all = np.einsum("ij,ij->i", Z_all, Z_all) if n_old else sq
-    np.matmul(Z, Z_all.T, out=D)
+    work.stack(Z_old, Z)
+    D = work.D
+    np.matmul(Z, work.Z_all.T, out=D)
     D *= 2.0
-    np.add(sq[:, None], sq_all[None, :], out=scratch)
+    np.add(work.sq[:, None], work.sq_all[None, :], out=scratch)
     np.subtract(scratch, D, out=D)
     np.maximum(D, 0.0, out=D)
     np.sqrt(D, out=D)
-    _self_pairs(D, n_old)[...] = 0.0
+    work.D_self[...] = 0.0
+    return D
 
 
 def pairwise_distances(Z: np.ndarray) -> np.ndarray:
@@ -108,9 +185,7 @@ def pairwise_distances(Z: np.ndarray) -> np.ndarray:
     """
     Z = np.ascontiguousarray(Z, dtype=float)
     n = Z.shape[0]
-    D = np.empty((n, n))
-    _distances_into(D, Z, Z, 0, np.empty((n, n)))
-    return D
+    return _distances(Workspace(), Z[:0], Z, np.empty((n, n)))
 
 
 def _softmax_into(W, D) -> np.ndarray:
@@ -178,40 +253,39 @@ def _local_losses(B, X, Y, task: TaskKind, work: Workspace):
     "L", and what the B gradient needs: the residuals (regression) or the
     class-major probability and Hellinger planes and their class sums.
 
-    Overflow surfaces later as a NumericError on the non-finite total, not
-    as a runtime warning.
+    Callers run it under ``_QUIET``.
     """
     k, N = B.shape[0], X.shape[0]
     L = work.buffer("L", (k, N))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not task.is_classification:
-            R = work.buffer("R", (k, N))
-            np.matmul(B, X.T, out=R)
-            R -= Y[:, 0]
-            np.multiply(R, R, out=L)
-            return L, R
-        p = task.n_classes
-        Q = work.buffer("Q", (p, k, N))
-        H = work.buffer("H", (p, k, N))
-        Hsum = work.buffer("R", (k, N))
-        # The free logits come from one product in the (k, p-1, N) order
-        # of the coefficient rows, staged in H, then moved to their planes.
-        free = H[:p - 1].reshape(k * (p - 1), N)
-        np.matmul(B.reshape(k * (p - 1), -1), X.T, out=free)
-        Q[:p - 1] = free.reshape(k, p - 1, N).transpose(1, 0, 2)
-        Q[p - 1] = 0.0  # reference class
-        np.max(Q, axis=0, out=L)
-        Q -= L
-        np.exp(Q, out=Q)
-        np.sum(Q, axis=0, out=L)
-        Q /= L
-        np.multiply(Q, Y.T[:, None, :], out=H)
-        np.sqrt(H, out=H)
-        np.sum(H, axis=0, out=Hsum)
-        np.subtract(1.0, Hsum, out=L)
-        return L, (Q, H, Hsum)
+    if not task.is_classification:
+        R = work.buffer("R", (k, N))
+        np.matmul(B, X.T, out=R)
+        R -= Y[:, 0]
+        np.multiply(R, R, out=L)
+        return L, R
+    p = task.n_classes
+    Q = work.buffer("Q", (p, k, N))
+    H = work.buffer("H", (p, k, N))
+    Hsum = work.buffer("R", (k, N))
+    # The free logits come from one product in the (k, p-1, N) order of the
+    # coefficient rows, staged in H, then moved to their planes.
+    free = H[:p - 1].reshape(k * (p - 1), N)
+    np.matmul(B.reshape(k * (p - 1), -1), X.T, out=free)
+    Q[:p - 1] = free.reshape(k, p - 1, N).transpose(1, 0, 2)
+    Q[p - 1] = 0.0  # reference class
+    np.max(Q, axis=0, out=L)
+    Q -= L
+    np.exp(Q, out=Q)
+    np.sum(Q, axis=0, out=L)
+    Q /= L
+    np.multiply(Q, Y.T[:, None, :], out=H)
+    np.sqrt(H, out=H)
+    np.sum(H, axis=0, out=Hsum)
+    np.subtract(1.0, Hsum, out=L)
+    return L, (Q, H, Hsum)
 
 
+@_QUIET
 def local_loss_matrix(B: np.ndarray, X: np.ndarray, Y: np.ndarray,
                       task: TaskKind) -> np.ndarray:
     """Loss of every local model on every data item.
@@ -248,50 +322,45 @@ def _grad_b(B, X, task: TaskKind, V, cache, work: Workspace) -> np.ndarray:
 
 def _forward(X, Y, B, Z, Z_old, task: TaskKind, work: Workspace):
     """Distances, softmax weights and local losses of the optimized rows
-    (B, Z) against all N rows, in ``work``'s buffers.
+    (B, Z) against all N rows, in ``work``'s buffers; callers run it under
+    ``_QUIET``.
 
     Returns ``(S, Z_all, D, W, L, cache)`` where S_i = sum_j W_ij L_ij is a
     fresh array and ``Z_all`` stacks ``Z_old`` over ``Z``.
     """
-    k, n_old = B.shape[0], Z_old.shape[0]
-    N = n_old + k
-    Z_all = np.concatenate([Z_old, Z]) if n_old else Z
-    D = work.buffer("D", (k, N))
+    k, N = B.shape[0], X.shape[0]
     W = work.buffer("W", (k, N))
-    _distances_into(D, Z, Z_all, n_old, W)
+    D = _distances(work, Z_old, Z, W)
     _softmax_into(W, D)
     L, cache = _local_losses(B, X, Y, task, work)
     T = work.buffer("T", (k, N))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(W, L, out=T)
-        S = T.sum(axis=1)
-    return S, Z_all, D, W, L, cache
+    np.multiply(W, L, out=T)
+    return T.sum(axis=1), work.Z_all, D, W, L, cache
 
 
 def _total(S, B, Z, hp: Hyperparams, what: str) -> float:
     """The weighted data term sum(S) plus the penalties of (B, Z); a
     non-finite total raises a NumericError naming the first bad term."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = float(S.sum())
-        z_pen = hp.lambda_z * float((Z * Z).sum())
-        lasso = hp.lambda_lasso * float(np.abs(B).sum())
+    data = float(S.sum())
+    z_pen = hp.lambda_z * float((Z * Z).sum())
+    lasso = hp.lambda_lasso * float(np.abs(B).sum())
     total = data + z_pen + lasso
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         for name, v in (("weighted data term", data),
                         ("embedding penalty", z_pen),
                         ("lasso penalty", lasso)):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise NumericError(f"{what} is non-finite: {name} = {v}")
         raise NumericError(f"{what} is non-finite")
     return total
 
 
+@_QUIET
 def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
-              work: Workspace | None, what: str):
+              work: Workspace, what: str):
     """The loss of the optimized rows (their weighted data losses over all
     items plus their own penalties) and its gradients with respect to
     (B, Z), as fresh arrays."""
-    work = Workspace() if work is None else work
     S, Z_all, D, W, L, cache = _forward(X, Y, B, Z, Z_old, task, work)
     total = _total(S, B, Z, hp, what)
     gB = _grad_b(B, X, task, W, cache, work)
@@ -313,7 +382,7 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     inv += _DIST_GRAD_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    _self_pairs(inv, n_old)[...] = 0.0  # D_ii is identically zero
+    work.D_self[...] = 0.0  # D_ii is identically zero
     C = A
     C *= inv
     gZ = C.sum(axis=1)[:, None] * Z
@@ -322,6 +391,7 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     return total, gB, gZ
 
 
+@_QUIET
 def total_loss(X, Y, B, Z, hp: Hyperparams, task: TaskKind) -> float:
     """Scalar value of the joint loss."""
     X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
@@ -333,10 +403,13 @@ def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
                        work: Workspace | None = None):
     """Loss value plus analytic gradients (dB, dZ) in one pass.
 
-    ``work`` lends the evaluation its buffers; pass the same Workspace to
-    every evaluation of a solve.  The gradients are always fresh arrays.
+    ``work`` lends the evaluation its buffers and keeps its set-up; pass
+    the same Workspace to every evaluation of a solve, and change none of
+    the arrays it was given in place meanwhile.  The gradients are always
+    fresh arrays.
     """
-    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
+    work = Workspace() if work is None else work
+    X, Y, B, Z, Z_old = work.checked(task, X, Y, B, Z, hp.d, None)
     return _evaluate(X, Y, B, Z, Z_old, hp, task, work, "total loss")
 
 
@@ -353,12 +426,14 @@ def added_loss_and_gradients(X_all, Y_all, Z_old, B_new, Z_new,
     copies.  Gradients are with respect to the appended (B, Z) only.
     ``work`` is as in :func:`loss_and_gradients`.
     """
-    X_all, Y_all, B_new, Z_new, Z_old = _as_problem(
+    work = Workspace() if work is None else work
+    X_all, Y_all, B_new, Z_new, Z_old = work.checked(
         task, X_all, Y_all, B_new, Z_new, hp.d, Z_old)
     return _evaluate(X_all, Y_all, B_new, Z_new, Z_old, hp, task, work,
                      "appended-row loss")
 
 
+@_QUIET
 def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
                       Z_old=None, work: Workspace | None = None) -> np.ndarray:
     """Per-row share of the total loss: each row's weighted data loss plus
@@ -367,13 +442,14 @@ def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
     With ``Z_old`` the rows (B, Z) are appended after frozen embedding rows
     ``Z_old``, and (X, Y) hold the items of all rows, old ones first.
     """
-    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d, Z_old)
-    S = _forward(X, Y, B, Z, Z_old, task,
-                 Workspace() if work is None else work)[0]
+    work = Workspace() if work is None else work
+    X, Y, B, Z, Z_old = work.checked(task, X, Y, B, Z, hp.d, Z_old)
+    S = _forward(X, Y, B, Z, Z_old, task, work)[0]
     return S + hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
 
 
+@_QUIET
 def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,
                           lambda_lasso: float):
     """Unweighted summed loss of one model over all items, with gradient.

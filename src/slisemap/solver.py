@@ -22,10 +22,11 @@ from . import lbfgs
 from .data import Normalization, write_json
 from .errors import DataError, NumericError, ShapeError, SlisemapError
 from .model import TaskKind
-from .objective import (_DIST_GRAD_EPS, Hyperparams, Workspace, _as_problem,
-                        _forward, added_loss_and_gradients, local_loss_matrix,
-                        loss_and_gradients, pairwise_distances,
-                        row_contributions, softmax_weights, total_loss)
+from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
+                        _as_problem, _forward, added_loss_and_gradients,
+                        local_loss_matrix, loss_and_gradients,
+                        pairwise_distances, row_contributions,
+                        softmax_weights, total_loss)
 
 # A round of the fit loop counts as a gain only above this share of the
 # loss: smaller gains move neither the embedding nor purity visibly, and the
@@ -88,8 +89,8 @@ class Solution:
     ``loss_history`` that is empty or increases with a DataError.
 
     A Solution is read-only after construction: its record and the start
-    base of single adds (computed on the first one and kept) describe the
-    arrays it was built with.  Make a changed solution with
+    base of adds (computed on the first one and kept) describe the arrays
+    it was built with.  Make a changed solution with
     ``dataclasses.replace``, which starts without that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
@@ -147,7 +148,8 @@ class Solution:
 
     @cached_property
     def _start_base(self):
-        """:func:`_copy_base` of this solution, computed on first use."""
+        """:func:`_copy_base` of this solution, computed on first use:
+        ``(S, w, pen, W)``."""
         return _copy_base(self.X, self.Y, self.B, self.Z, self.hyperparams,
                           self.task)
 
@@ -294,22 +296,26 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
     # Large lambda_z makes the embedding block of the Hessian (about
     # 2*lambda_z) vastly stiffer than the model block; optimizing the
     # rescaled embedding V = Z * scale keeps the joint problem well
-    # conditioned without changing the loss or its minimizer.
+    # conditioned without changing the loss or its minimizer.  At
+    # lambda_z <= 0.5 the scale is 1 and V is Z, with nothing to divide.
     scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
+
+    def unscaled(V):
+        return V if scale == 1.0 else V / scale
 
     def unpack(x):
         return x[:nb].reshape(B0.shape), x[nb:].reshape(Z0.shape)
 
     def fg(x):
         B, V = unpack(x)
-        f, gB, gZ = fun_and_grad(B, V / scale)
-        return f, np.concatenate([gB.ravel(), (gZ / scale).ravel()])
+        f, gB, gZ = fun_and_grad(B, unscaled(V))
+        return f, np.concatenate([gB.ravel(), unscaled(gZ).ravel()])
 
     x0 = np.concatenate([B0.ravel(), (Z0 * scale).ravel()])
     res = lbfgs.minimize(fg, x0, max_iters=config.lbfgs_max_iters,
                          rel_tol=config.rel_tol, max_first_step=max_first_step)
     B, V = unpack(res.x)
-    return B.copy(), V / scale, res.fun
+    return B.copy(), unscaled(V).copy(), res.fun
 
 
 def _best_rows(W, B, X, Y, task: TaskKind) -> np.ndarray:
@@ -422,24 +428,27 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
         target_names=list(target_names), stop_reason=stop_reason)
 
 
+@_QUIET
 def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
-    """What the loss of one new item's row, appended to the solution (B, Z)
-    on the items (X, Y) as a copy of old row k, needs besides the item:
-    ``(S, w, pen)``, each of length n.
+    """What the starts of new rows appended to the solution (B, Z) on the
+    items (X, Y) need besides the new items, from one forward pass over
+    the solution: ``(S, w, pen, W)``, the first three of length n.
 
-    The copy sees old row k's neighbourhood plus itself at distance zero,
-    so its loss is ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with
-    S_k = sum_j W_kj L_kj, w_k = W_kk = 1 / sum_j exp(-D_kj) and
-    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1, from one forward pass
-    over the solution.  The arrays are read-only.
+    A single new row starts as a copy of an old row k.  The copy sees row
+    k's neighbourhood plus itself at distance zero, so its loss is
+    ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with S_k = sum_j W_kj L_kj,
+    w_k = W_kk = 1 / sum_j exp(-D_kj) and
+    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  Several new rows
+    start from the old rows whose neighbourhood weights W (n x n) fit
+    their items best.  The arrays are read-only.
     """
     S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
     w = np.diagonal(W).copy()
     pen = hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
-    for a in (S, w, pen):
+    for a in (S, w, pen, W):
         a.setflags(write=False)
-    return S, w, pen
+    return S, w, pen, W
 
 
 def add_new(sol: Solution, X_new, Y_new,
@@ -460,15 +469,16 @@ def add_new(sol: Solution, X_new, Y_new,
               + lambda_lasso |B_k|_1,
 
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
-    k on the point (:func:`_copy_base`, computed once per Solution), so a
-    training row added again starts no worse than its own copy.  The copy
-    sits inside the distance smoothing of its row, so the solve's first
-    trial moves no coordinate more than ``_SINGLE_ADD_FIRST_STEP``, and its
-    value is the row's loss.  Several rows start jointly from the old row
-    whose neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as
-    in :func:`escape` (f ignores the other new rows, and measured worse
-    there), with the default first step; one more forward pass splits the
-    loss into rows.
+    k on the point, so a training row added again starts no worse than its
+    own copy.  The copy sits inside the distance smoothing of its row, so
+    the solve's first trial moves no coordinate more than
+    ``_SINGLE_ADD_FIRST_STEP``, and its value is the row's loss.  Several
+    rows start jointly from the old row whose neighbourhood fits their item
+    best, ``argmin_k (W @ L)[k, i]`` as in :func:`escape` (f ignores the
+    other new rows, and measured worse there), with the default first step;
+    one more forward pass splits the loss into rows.  S, w and W come from
+    one forward pass over the solution (:func:`_copy_base`), made on the
+    first add to a Solution and kept.
     """
     X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
                                         Y_new, sol.B)
@@ -489,13 +499,12 @@ def add_new(sol: Solution, X_new, Y_new,
         return lbfgs_minimize(fun_and_grad, sol.B[start], sol.Z[start], hp,
                               config, max_first_step=max_first_step)
 
+    S, w, pen, W_old = sol._start_base
     if k == 1:
-        S, w, pen = sol._start_base
         L = local_loss_matrix(sol.B, X_new, Y_new, task)[:, 0]
         B_new, Z_new, f = solve([np.argmin((S + w * L) / (1.0 + w) + pen)],
                                 _SINGLE_ADD_FIRST_STEP)
         return B_new, Z_new, np.array([f])
-    W_old = softmax_weights(pairwise_distances(sol.Z))
     B_new, Z_new, _ = solve(_best_rows(W_old, sol.B, X_new, Y_new, task))
     return B_new, Z_new, row_contributions(Xc, Yc, B_new, Z_new, hp, task,
                                            Z_old=sol.Z, work=work)

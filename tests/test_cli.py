@@ -886,16 +886,39 @@ class TestOutputDigestsTool:
 
     def test_thread_variables_are_the_packages(self):
         """The tool sets the BLAS thread variables before numpy loads, so it
-        names them itself; its tuple must be the package's.  It is read
-        from the source, since importing the tool would set them."""
-        path = Path(__file__).resolve().parent.parent / "tools" \
-            / "output_digests.py"
-        tree = ast.parse(path.read_text())
-        values = [ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets
-                       if isinstance(t, ast.Name)] == ["THREAD_VARIABLES"]]
-        assert values == [slisemap.BLAS_THREAD_VARIABLES]
+        names them itself; its tuple must be the package's."""
+        assert tool_thread_variables("output_digests.py") == \
+            [slisemap.BLAS_THREAD_VARIABLES]
+
+
+def tool_thread_variables(name):
+    """The values a tool assigns to ``THREAD_VARIABLES``, read from its
+    source, since importing the tool would set the variables."""
+    path = Path(__file__).resolve().parent.parent / "tools" / name
+    tree = ast.parse(path.read_text())
+    return [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets
+                 if isinstance(t, ast.Name)] == ["THREAD_VARIABLES"]]
+
+
+class TestEvalOverheadTool:
+    def test_prints_every_case(self):
+        tool = Path(__file__).resolve().parent.parent / "tools" \
+            / "eval_overhead.py"
+        proc = subprocess.run([sys.executable, str(tool), "--repeats", "1"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.rsplit(None, 1) for line in proc.stdout.splitlines()[1:]]
+        assert [name for name, _ in rows] == [
+            "reg200 full k=200", "reg200 added k=1", "reg200 added k=10",
+            "clf200 full k=150", "clf200 added k=1", "clf200 added k=10",
+            "two_loop fit (200 rows)", "two_loop single add (1 row)"]
+        assert all(float(us) > 0 for _, us in rows)
+
+    def test_thread_variables_are_the_packages(self):
+        assert tool_thread_variables("eval_overhead.py") == \
+            [slisemap.BLAS_THREAD_VARIABLES]
 
 
 class TestCodeLinesTool:

@@ -190,12 +190,11 @@ class TestFirstStep:
                                       x0 + alpha0 * -g)
 
 
-def two_phase_strong_wolfe(fg, x, p, f0, g0, alpha0):
+def two_phase_strong_wolfe(fg, x, p, f0, g0, dphi0, alpha0):
     """Reference line search: the earlier two-phase form of
     ``lbfgs._strong_wolfe``, a bracketing loop that hands over to a nested
     zoom.  The one-loop form must make the same trials and returns."""
     _C1, _C2, _MAX_LS_EVALS = lbfgs._C1, lbfgs._C2, lbfgs._MAX_LS_EVALS
-    dphi0 = float(g0 @ p)
     phi0 = f0
     best_a, best_f, best_g = 0.0, f0, None  # best finite point evaluated
     evals = 0
@@ -328,7 +327,8 @@ def both_line_searches(fg, x, p, alpha0):
             trials.append(y.copy())
             return fg(y)
 
-        runs.append((trials, search(recording, x, p, f0, g0, alpha0)))
+        runs.append((trials, search(recording, x, p, f0, g0,
+                                    float(g0 @ p), alpha0)))
     (new_trials, new), (ref_trials, ref) = runs
     assert len(new_trials) == len(ref_trials)
     for a, b in zip(new_trials, ref_trials):
@@ -376,3 +376,21 @@ class TestLineSearchMatchesTwoPhase:
             fg, np.array([0.3]), -np.ones(1), 1.0)
         assert evals == lbfgs._MAX_LS_EVALS and not ok
         assert 0.0 < alpha and f < 0.3
+
+
+class TestStepCap:
+    def test_unbounded_descent_stops_at_the_cap(self):
+        """On f = -x the loss falls without end and no step meets the
+        curvature condition: the doubling tries the 1e10 cap once and the
+        search returns it as a failed search."""
+        trials = []
+
+        def fg(x):
+            trials.append(float(x[0]))
+            return -float(x[0]), -np.ones(1)
+
+        alpha, f, g, evals, ok = lbfgs._strong_wolfe(
+            fg, np.zeros(1), np.ones(1), 0.0, -np.ones(1), -1.0, 1e3)
+        assert not ok and alpha == lbfgs._MAX_STEP == 1e10
+        assert f == -1e10 and g.tolist() == [-1.0]
+        assert trials == [1e3 * 2.0 ** i for i in range(evals - 1)] + [1e10]

@@ -10,7 +10,8 @@ from slisemap.metrics import (MetricReport, cluster_purity, compute_report,
                               coverage, fidelity, fit_global_model,
                               knn_indices, loss_threshold)
 from slisemap.model import TaskKind
-from slisemap.objective import Hyperparams, local_loss_matrix
+from slisemap.objective import (Hyperparams, local_loss_matrix,
+                                pairwise_distances)
 from slisemap.solver import Solution, SolverConfig, fit
 
 REG = TaskKind.regression()
@@ -98,6 +99,27 @@ class TestKnnIndices:
         np.testing.assert_array_equal(nn[0], [1, 2])
         np.testing.assert_array_equal(nn[1], [0, 2])
         np.testing.assert_array_equal(nn[3], [0, 1])
+
+    @pytest.mark.parametrize("kind", ["grid", "duplicates", "coincident",
+                                      "nan-row", "random"])
+    def test_matches_a_full_stable_sort(self, kind, rng):
+        """Every k gives the first k columns of a stable argsort of each
+        distance row, on embeddings with many exactly tied distances."""
+        if kind == "grid":  # integer points: equal distances everywhere
+            Z = rng.integers(0, 4, (30, 2)).astype(float)
+        elif kind == "duplicates":  # each point three times
+            Z = np.repeat(rng.standard_normal((10, 2)), 3, axis=0)
+        elif kind == "coincident":
+            Z = np.ones((30, 2))
+        else:
+            Z = rng.standard_normal((30, 2))
+            if kind == "nan-row":
+                Z[[4, 17]] = np.nan
+        D = pairwise_distances(Z)
+        np.fill_diagonal(D, np.inf)
+        stable = np.argsort(D, axis=1, kind="stable")
+        for k in range(1, 30):
+            np.testing.assert_array_equal(knn_indices(Z, k), stable[:, :k])
 
     def test_k_bounds(self, rng):
         Z = rng.standard_normal((5, 2))

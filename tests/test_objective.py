@@ -373,6 +373,62 @@ class TestWorkspaceAllocation:
         assert peak < n * n * 8
 
 
+class TestWorkspaceCache:
+    def test_alternating_problems_match_fresh_workspaces(self, rng):
+        """One Workspace taken through calls that change Z_old (another
+        array of the same shape, or more rows), X (same shape), the task and
+        the number of optimized rows, and back, gives the bytes of a fresh
+        Workspace on every call: nothing it keeps for one problem is reused
+        for another."""
+        X, Y, B, Z, hp = random_instance(REG, 12, 3, 2, rng)
+        Xc, Yc, Bc, Zc, _ = random_instance(TaskKind.classification(3), 12,
+                                            3, 2, rng)
+        Z_old = Z[:8].copy()
+        other_old = Z_old + 0.5  # same shape, other values
+        X2 = X * 1.5  # same shape, other values
+        clf = TaskKind.classification(3)
+        calls = [
+            ("added", REG, X, Y, Z_old, B[8:], Z[8:]),
+            ("added", REG, X, Y, Z_old, B[8:] + 0.1, Z[8:] - 0.1),
+            ("added", REG, X, Y, other_old, B[8:], Z[8:]),
+            ("added", REG, X2, Y, other_old, B[8:], Z[8:]),
+            ("rows", REG, X2, Y, Z_old, B[8:], Z[8:]),
+            ("added", REG, X, Y, Z[:10], B[10:], Z[10:]),  # k = 2
+            ("full", REG, X, Y, None, B, Z),
+            ("added", clf, Xc, Yc, Zc[:8], Bc[8:], Zc[8:]),
+            ("full", clf, Xc, Yc, None, Bc, Zc),
+            ("full", REG, X, Y, None, B * 0.5, Z),
+            ("added", REG, X, Y, Z_old, B[8:], Z[8:]),
+        ]
+
+        def run(kind, task, X, Y, Z_old, B, Z, work):
+            if kind == "full":
+                return loss_and_gradients(X, Y, B, Z, hp, task, work=work)
+            if kind == "rows":
+                return (0.0, row_contributions(X, Y, B, Z, hp, task,
+                                               Z_old=Z_old, work=work),
+                        np.empty(0))
+            return added_loss_and_gradients(X, Y, Z_old, B, Z, hp, task,
+                                            work=work)
+
+        work = Workspace()
+        for call in calls:
+            assert_bit_identical(run(*call, work), run(*call, Workspace()))
+
+    def test_same_arrays_with_other_rows_are_checked(self, rng):
+        """After a call on (X, Y, Z_old), a call on the same arrays whose
+        (B, Z) disagree with them still raises a ShapeError."""
+        X, Y, B, Z, hp = random_instance(REG, 6, 3, 2, rng)
+        work, Z_old = Workspace(), Z[:4]
+        added_loss_and_gradients(X, Y, Z_old, B[4:], Z[4:], hp, REG,
+                                 work=work)
+        for B_new, Z_new in ((B[3:], Z[3:]), (B[4:, :-1], Z[4:]),
+                             (B[4:], Z[4:, :1])):
+            with pytest.raises(ShapeError):
+                added_loss_and_gradients(X, Y, Z_old, B_new, Z_new, hp, REG,
+                                         work=work)
+
+
 class TestRowContributions:
     @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)])
     def test_appended_rows_match_the_whole_problem(self, task, rng):

@@ -495,6 +495,40 @@ class TestAddNew:
             want = add_new(fresh, new.X[i:i + 1], new.Y[i:i + 1], config)
             assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
 
+    def test_batch_adds_share_one_forward_pass(self, small_fit,
+                                               monkeypatch):
+        """Two joint batch adds on one Solution make one pass over its n
+        rows in all, whose weights are those of the solution's embedding
+        to the last bit, and give the bytes of the same adds on fresh
+        copies of the solution."""
+        _, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        new, _ = generate_rsynth(RsynthSpec(n=6, m=4, seed=12))
+        config = SolverConfig(seed=11)
+        passes = []
+
+        def counting(build, rows):
+            def wrapped(*args):
+                if rows(*args).shape[0] == sol.n:
+                    passes.append(build.__name__)
+                return build(*args)
+            return wrapped
+
+        for module in (solver, objective):
+            monkeypatch.setattr(module, "_forward", counting(
+                module._forward, lambda X, Y, B, *rest: B))
+        monkeypatch.setattr(solver, "pairwise_distances", counting(
+            solver.pairwise_distances, lambda Z: Z))
+        got = [add_new(sol, new.X[i:i + 3], new.Y[i:i + 3], config)
+               for i in (0, 3)]
+        assert passes == ["_forward"]
+        W = softmax_weights(pairwise_distances(sol.Z))
+        assert sol._start_base[3].tobytes() == W.tobytes()
+        for i, out in zip((0, 3), got):
+            fresh = Solution.from_json_dict(sol.to_json_dict())
+            want = add_new(fresh, new.X[i:i + 3], new.Y[i:i + 3], config)
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
+
     def test_start_base_stays_with_its_solution(self, small_fit):
         """The start base kept by a single add is neither saved nor
         compared, and a solution made from another by
@@ -532,7 +566,8 @@ class TestAddNew:
         task, X, Y, B, Z, hp = problem
         n = X.shape[0] - 1  # old rows; the last item is the new one
         assume(n >= 1)
-        S, w, pen = solver._copy_base(X[:n], Y[:n], B[:n], Z[:n], hp, task)
+        S, w, pen, _ = solver._copy_base(X[:n], Y[:n], B[:n], Z[:n], hp,
+                                         task)
         L = local_loss_matrix(B[:n], X[n:], Y[n:], task)[:, 0]
         f = (S + w * L) / (1.0 + w) + pen
         assert f.shape == (n,)
