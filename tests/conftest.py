@@ -14,9 +14,11 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from slisemap.data import Normalization
 from slisemap.errors import DataError, NumericError, ShapeError
 from slisemap.model import TaskKind
-from slisemap.objective import Hyperparams
+from slisemap.objective import Hyperparams, total_loss
+from slisemap.solver import Solution
 
 # Property tests draw a fixed, bounded set of examples (derandomized, no
 # example database) so the suite stays deterministic and short; no
@@ -165,6 +167,18 @@ def random_instance(task: TaskKind, n, m, d, rng, lambda_z=0.2):
     Z = rng.standard_normal((n, d))
     hp = Hyperparams(lambda_z=lambda_z, d=d)
     return X, Y, B, Z, hp
+
+
+def make_solution(X, Y, B, Z, hp, task=TaskKind.regression()):
+    """Assemble a Solution of (X, Y, B, Z) directly, bypassing the fit
+    loop."""
+    m, p = X.shape[1] - 1, 1 if np.ndim(Y) == 1 else np.shape(Y)[1]
+    return Solution(
+        X=X, Y=Y, B=B, Z=Z, hyperparams=hp, task=task,
+        loss_history=[total_loss(X, Y, B, Z, hp, task)], seed=0,
+        column_names=[f"x{i+1}" for i in range(m)],
+        normalization=Normalization(mean=np.zeros(m), std=np.ones(m)),
+        target_names=[f"y{i+1}" for i in range(p)] if p > 1 else ["y"])
 
 
 @st.composite

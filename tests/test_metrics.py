@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
-from slisemap.data import Normalization, RsynthSpec, generate_rsynth
+from conftest import make_solution, random_instance
+from slisemap.data import RsynthSpec, generate_rsynth
 from slisemap.errors import SlisemapError
 from slisemap.metrics import (MetricReport, cluster_purity, compute_report,
                               coverage, fidelity, fit_global_model,
@@ -12,21 +12,9 @@ from slisemap.metrics import (MetricReport, cluster_purity, compute_report,
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, local_loss_matrix,
                                 pairwise_distances)
-from slisemap.solver import Solution, SolverConfig, fit
+from slisemap.solver import SolverConfig, fit
 
 REG = TaskKind.regression()
-
-
-def make_solution(X, Y, B, Z, hp, task=REG):
-    """Assemble a Solution directly, bypassing the fit loop."""
-    from slisemap.objective import total_loss
-
-    m = X.shape[1] - 1
-    return Solution(
-        X=X, Y=Y, B=B, Z=Z, hyperparams=hp, task=task,
-        loss_history=[total_loss(X, Y, B, Z, hp, task)], seed=0,
-        column_names=[f"x{i+1}" for i in range(m)],
-        normalization=Normalization(mean=np.zeros(m), std=np.ones(m)))
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,14 @@ as one; of ``solver.escape`` at the fitted solution; of
 ``solver.add_new`` of 20 fresh points as one batch and of 10 fresh points
 one by one.  The same 10 points are also added with 10 separate single-row
 calls on the one solution, and the script raises if their bytes differ from
-the ``one_by_one`` call, or if a call's returned loss differs from
-``row_contributions`` of its row.  It also raises if a fitted solution's
-document, read back with ``Solution.from_json_dict``, does not give the
-same document.  Two commits whose lines are equal give
-bit-identical outputs on these inputs.  The training sets and fresh points
-are those of ``benchmarks/workloads.make_problems(wl, 1)``.
+the ``one_by_one`` call, if a call's returned loss differs from
+``row_contributions`` of its row, or if it is above the call's copy score
+f_r (the lowest loss of the new row as a copy of an old row).  It also
+raises if a fitted solution's document, read back with
+``Solution.from_json_dict``, does not give the same document.  Two commits
+whose lines are equal give bit-identical outputs on these inputs.  The
+training sets and fresh points are those of
+``benchmarks/workloads.make_problems(wl, 1)``.
 
 The last line, ``cli``, runs the command-line pipeline (``generate`` at
 n = 60, ``fit``, ``metrics``, ``add``, ``sweep --subsample``, ``export`` and
@@ -51,6 +53,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
 from slisemap import cli, metrics, solver  # noqa: E402
+from slisemap.objective import local_loss_matrix  # noqa: E402
 
 N_BATCH = 20
 N_SINGLE = 10
@@ -80,14 +83,18 @@ def digest_line(p) -> str:
             [a.tobytes() for a in single]:
         raise AssertionError("single-row add_new calls differ from the "
                              "one_by_one call")
+    S, w, pen, _ = sol._start_base
     for i, (B_i, Z_i, loss) in enumerate(calls):
+        x, y = p.X_new[i:i + 1], p.Y_new[i:i + 1]
         contrib = solver.row_contributions(
-            np.vstack([sol.X, p.X_new[i:i + 1]]),
-            np.vstack([sol.Y, p.Y_new[i:i + 1]]), B_i, Z_i, sol.hyperparams,
-            sol.task, Z_old=sol.Z)
+            np.vstack([sol.X, x]), np.vstack([sol.Y, y]), B_i, Z_i,
+            sol.hyperparams, sol.task, Z_old=sol.Z)
         if loss.tobytes() != contrib.tobytes():
             raise AssertionError("a single add's loss differs from "
                                  "row_contributions of its row")
+        L = local_loss_matrix(sol.B, x, y, sol.task)[:, 0]
+        if loss[0] > ((S + w * L) / (1.0 + w) + pen).min():
+            raise AssertionError("a single add ends above its copy score")
     return " ".join([
         "state", digest(sol.B, sol.Z, sol.final_loss),
         "record", digest(sol.loss_history, sol.outer_iters_used,
