@@ -153,35 +153,45 @@ def _parse_cell(text: str, row: int, name: str) -> float:
 
 def _read_table(path):
     """A CSV's header, numeric rows and each row's number in the file
-    (blank rows are skipped but counted)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        for name in header:
-            if header.count(name) > 1:
-                raise DataError(f'{path}: column "{name}" appears twice in '
-                                "the header")
-        rows, numbers = [], []
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) < len(header):
-                raise DataError(
-                    f'{path}: missing value at row {i}, column '
-                    f'"{header[len(row)]}"')
-            if len(row) > len(header):
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} cells, header has "
-                    f"{len(header)}")
-            rows.append([_parse_cell(c.strip(), i, header[j])
-                         for j, c in enumerate(row)])
-            numbers.append(i)
+    (blank rows are skipped but counted).  The file must be UTF-8 text; a
+    leading byte-order mark is dropped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header, rows, numbers = _read_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return header, table, numbers
+
+
+def _read_rows(path, reader):
+    """The stripped header, the parsed rows and their row numbers of a
+    ``csv.reader`` over the file ``path``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    for name in header:
+        if header.count(name) > 1:
+            raise DataError(f'{path}: column "{name}" appears twice in '
+                            "the header")
+    rows, numbers = [], []
+    for i, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue
+        if len(row) < len(header):
+            raise DataError(
+                f'{path}: missing value at row {i}, column '
+                f'"{header[len(row)]}"')
+        if len(row) > len(header):
+            raise DataError(
+                f"{path}: row {i} has {len(row)} cells, header has "
+                f"{len(header)}")
+        rows.append([_parse_cell(c.strip(), i, header[j])
+                     for j, c in enumerate(row)])
+        numbers.append(i)
+    return header, rows, numbers
 
 
 def _integers(path, header, table, numbers, j) -> np.ndarray:

@@ -205,6 +205,22 @@ def softmax_weights(D: np.ndarray) -> np.ndarray:
     return _softmax_into(np.empty(np.shape(D)), np.asarray(D, dtype=float))
 
 
+@_QUIET
+def softmax_weights_row(Z: np.ndarray, r: int) -> np.ndarray:
+    """Row ``r`` of ``softmax_weights(pairwise_distances(Z))`` in O(n) time
+    and memory, from the same distance and softmax code.
+
+    D_rr is exactly zero.  The one-row Gram product may round a product
+    differently from the all-rows one, which moves D_rj, and so the
+    weight's share, by about eps |Z_r| |Z_j| / D_rj.
+    """
+    Z = np.ascontiguousarray(Z, dtype=float)
+    n = Z.shape[0]
+    D = _distances(Workspace(), Z, Z[r:r + 1], np.empty((1, n + 1)))[:, :n]
+    D[0, r] = 0.0  # the Gram route leaves a rounding error here
+    return _softmax_into(np.empty((1, n)), D)[0]
+
+
 def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
     """``(X, Y, B, Z, Z_old)`` as float64 arrays, a 1-D response as one
     column and Z C-contiguous, or a ShapeError on any disagreement.

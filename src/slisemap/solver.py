@@ -26,7 +26,7 @@ from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
                         _as_problem, _forward, added_loss_and_gradients,
                         local_loss_matrix, loss_and_gradients,
                         pairwise_distances, row_contributions,
-                        softmax_weights, total_loss)
+                        softmax_weights, softmax_weights_row, total_loss)
 
 # A round of the fit loop counts as a gain only above this share of the
 # loss: smaller gains move neither the embedding nor purity visibly, and the
@@ -76,6 +76,20 @@ def _check_finite(**arrays):
             raise DataError(f"{name} has non-finite entries")
 
 
+def _text(key: str, value, many: bool = False):
+    """``value`` of the solution key ``key`` when it is a string, or with
+    ``many`` a list of strings; otherwise a DataError naming the key."""
+    if many:
+        ok = isinstance(value, list) and all(isinstance(v, str)
+                                             for v in value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        want = "a list of strings" if many else "a string"
+        raise DataError(f"solution key {key!r} is not {want}")
+    return value
+
+
 @dataclass(eq=False)
 class Solution:
     """A fitted model: data, local models, embedding and the fit's record.
@@ -89,8 +103,8 @@ class Solution:
     ``loss_history`` that is empty or increases with a DataError.
 
     A Solution is read-only after construction: its record and the start
-    base of adds (computed on the first one and kept) describe the arrays
-    it was built with.  Make a changed solution with
+    base of single adds (3n floats, computed on the first one and kept)
+    describe the arrays it was built with.  Make a changed solution with
     ``dataclasses.replace``, which starts without that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
@@ -149,7 +163,7 @@ class Solution:
     @cached_property
     def _start_base(self):
         """:func:`_copy_base` of this solution, computed on first use:
-        ``(S, w, pen, W)``."""
+        ``(S, w, pen)``, three arrays of length n."""
         return _copy_base(self.X, self.Y, self.B, self.Z, self.hyperparams,
                           self.task)
 
@@ -187,9 +201,11 @@ class Solution:
     def from_json_dict(cls, doc: dict) -> "Solution":
         """The solution a :meth:`to_json_dict` document describes; a
         missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError.  A file written before
-        ``loss_history`` was saved has ``[final_loss]`` as its history, one
-        before ``stop_reason`` "numeric" if ``numeric_warning`` else "".
+        mismatched arrays a ShapeError.  ``task`` must be a string and
+        ``column_names`` and ``target_names`` lists of strings.  A file
+        written before ``loss_history`` was saved has ``[final_loss]`` as
+        its history, one before ``stop_reason`` "numeric" if
+        ``numeric_warning`` else "".
         Each derived key (``n``, ``m``, ``d``, ``p``, ``final_loss``,
         ``outer_iters_used``, ``numeric_warning``) the document holds must
         equal what :meth:`to_json_dict` writes for the solution, booleans
@@ -202,15 +218,17 @@ class Solution:
             sol = cls(
                 X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
                 hyperparams=hp,
-                task=TaskKind.from_string(doc["task"]),
+                task=TaskKind.from_string(_text("task", doc["task"])),
                 loss_history=[float(v) for v in (
                     [doc["final_loss"]] if legacy else doc["loss_history"])],
                 seed=int(doc["seed"]),
-                column_names=list(doc["column_names"]),
+                column_names=list(_text("column_names",
+                                        doc["column_names"], many=True)),
                 normalization=Normalization(
                     mean=np.asarray(doc["normalization"]["mean"], dtype=float),
                     std=np.asarray(doc["normalization"]["std"], dtype=float)),
-                target_names=list(doc.get("target_names", ["y"])),
+                target_names=list(_text("target_names", doc.get(
+                    "target_names", ["y"]), many=True)),
                 stop_reason=doc.get("stop_reason", "numeric" if doc.get(
                     "numeric_warning") else ""),
             )
@@ -430,49 +448,60 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
 @_QUIET
 def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
-    """What the starts of new rows appended to the solution (B, Z) on the
-    items (X, Y) need besides the new items, from one forward pass over
-    the solution: ``(S, w, pen, W)``, the first three of length n.
+    """What the copy score of a single new row appended to the solution
+    (B, Z) on the items (X, Y) needs besides the new item, from one
+    forward pass over the solution: ``(S, w, pen)``, each of length n.
 
     A single new row starts as a copy of an old row k.  The copy sees row
     k's neighbourhood plus itself at distance zero, so its loss is
     ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with S_k = sum_j W_kj L_kj,
     w_k = W_kk = 1 / sum_j exp(-D_kj) and
-    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  Several new rows
-    start from the old rows whose neighbourhood weights W (n x n) fit
-    their items best.  The arrays are read-only.
+    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  The n x n weights W
+    are dropped with the pass.  The arrays are read-only.
     """
     S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
     w = np.diagonal(W).copy()
     pen = hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
-    for a in (S, w, pen, W):
+    for a in (S, w, pen):
         a.setflags(write=False)
-    return S, w, pen, W
+    return S, w, pen
 
 
 @_QUIET
-def _least_squares_start(X, y, wt, f_r, B_r, z_pen, lambda_lasso):
+def _least_squares_start(X, y, wt, B_r, lambda_lasso):
     """The B start of a single add to a squared-loss task whose z starts at
     old row r's: the b minimizing sum_j wt_j (x_j . b - y_j)^2 over the
     items (X, y), old ones then the new one, under the copy's weights
-    ``wt`` (row r's kept weights W_r, then w_r), from the q x q normal
-    equations.  Its start loss is f_r's formula with b for B_r,
+    ``wt`` (row r's weights W_r, then w_r), from the q x q normal
+    equations.  The start loss of a B row b is f_r's formula with b for
+    B_r, less the embedding penalty both starts share,
 
-        wt . (X b - y)^2 / (1 + w_r) + z_pen + lambda_lasso |b|_1,
+        wt . (X b - y)^2 / (1 + w_r) + lambda_lasso |b|_1,
 
-    and b is taken only when that is at most ``f_r``; otherwise, and when
-    the system is singular or b is not finite, the copy's ``B_r`` stays.
+    and b is taken only when its start loss is at most ``B_r``'s under the
+    same weights; otherwise, and when the system is singular or b is not
+    finite, the copy's ``B_r`` stays.  Singular means rank below q at
+    working precision, as ``np.linalg.matrix_rank`` counts it: whether
+    LAPACK meets an exactly zero pivot on a singular system depends on
+    the rounding of the weights.
     """
     A = X.T * wt
+    G = A @ X
     try:
-        b = np.linalg.solve(A @ X, A @ y)
+        lam = np.linalg.eigvalsh(G)
+        if not lam[0] > lam.size * np.finfo(float).eps * lam[-1]:
+            return B_r
+        b = np.linalg.solve(G, A @ y)
     except np.linalg.LinAlgError:
         return B_r
-    R = X @ b - y
-    f = float(wt @ (R * R)) / (1.0 + wt[-1]) + z_pen \
-        + lambda_lasso * float(np.abs(b).sum())
-    return b[None, :] if f <= f_r else B_r
+
+    def start_loss(b):
+        R = X @ b - y
+        return float(wt @ (R * R)) / (1.0 + wt[-1]) \
+            + lambda_lasso * float(np.abs(b).sum())
+
+    return b[None, :] if start_loss(b) <= start_loss(B_r[0]) else B_r
 
 
 def add_new(sol: Solution, X_new, Y_new,
@@ -495,18 +524,22 @@ def add_new(sol: Solution, X_new, Y_new,
               + lambda_lasso |B_k|_1,
 
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
-    k on the point.  Its z starts at Z_r.  For a squared-loss task
-    (regression, binary-logit) B starts at the weighted least-squares fit
-    of the copy's neighbourhood, b* = argmin_b sum_j W_rj (x_j . b - y_j)^2
-    + w_r (x . b - y)^2, when b*'s start loss (f_r's formula with b* for
-    B_r) is at most f_r; otherwise, or when its normal equations are
-    singular, B starts at B_r.  Either way a training row added again
-    starts no worse than its own copy.  Classification keeps B_r: the
-    Hellinger loss has no closed-form fit, and an iterative B-first solve
-    measured a single-add p50 of 2.2 ms against 0.71 on ``clf200``.  The
-    start's z sits inside the distance smoothing of row r, so the solve's
-    first trial moves no coordinate more than ``_SINGLE_ADD_FIRST_STEP``,
-    and its value is the row's loss.
+    k on the point; S, w and the penalties come from one forward pass over
+    the solution (:func:`_copy_base`), made on the first single add to a
+    Solution and kept (3n floats).  Its z starts at Z_r.  For a
+    squared-loss task (regression, binary-logit) B starts at the weighted
+    least-squares fit of the copy's neighbourhood,
+    b* = argmin_b sum_j W_rj (x_j . b - y_j)^2 + w_r (x . b - y)^2, when
+    b*'s start loss (f_r's formula with b* for B_r) is at most B_r's; both
+    are taken under row r's weights, computed in O(n) from Z
+    (:func:`softmax_weights_row`).  Otherwise, or when its normal
+    equations are singular, B starts at B_r.  Either way a training row
+    added again starts no worse than its own copy.  Classification keeps
+    B_r: the Hellinger loss has no closed-form fit, and an iterative
+    B-first solve measured a single-add p50 of 2.2 ms against 0.71 on
+    ``clf200``.  The start's z sits inside the distance smoothing of row
+    r, so the solve's first trial moves no coordinate more than
+    ``_SINGLE_ADD_FIRST_STEP``, and its value is the row's loss.
 
     Several rows start jointly, B and z, from the old row whose
     neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as in
@@ -514,9 +547,8 @@ def add_new(sol: Solution, X_new, Y_new,
     there), with the default first step; one more forward pass splits the
     loss into rows.  A least-squares B start measured no better there:
     8360 evaluations against 8284 and an equal mean loss on the
-    ``reg200-seeds`` batches.  S, w and W come from one forward pass over
-    the solution (:func:`_copy_base`), made on the first add to a Solution
-    and kept.
+    ``reg200-seeds`` batches.  The n x n weights W are computed once per
+    call, as in :func:`escape`, and not kept.
     """
     X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
                                         Y_new, sol.B)
@@ -534,21 +566,22 @@ def add_new(sol: Solution, X_new, Y_new,
         return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
                                         work=work)
 
-    S, w, pen, W_old = sol._start_base
     if k == 1:
+        S, w, pen = sol._start_base
         L = local_loss_matrix(sol.B, X_new, Y_new, task)[:, 0]
         f = (S + w * L) / (1.0 + w) + pen
         r = int(np.argmin(f))
         B0, Z0 = sol.B[r:r + 1], sol.Z[r:r + 1]
         if not task.is_classification:
-            B0 = _least_squares_start(
-                Xc, Yc[:, 0], np.append(W_old[r], w[r]), f[r], B0,
-                hp.lambda_z * float((Z0 * Z0).sum()), hp.lambda_lasso)
+            W_r = softmax_weights_row(sol.Z, r)
+            B0 = _least_squares_start(Xc, Yc[:, 0], np.append(W_r, W_r[r]),
+                                      B0, hp.lambda_lasso)
         B_new, Z_new, f_new = lbfgs_minimize(
             fun_and_grad, B0, Z0, hp, config,
             max_first_step=_SINGLE_ADD_FIRST_STEP)
         return B_new, Z_new, np.array([f_new])
-    rows = _best_rows(W_old, sol.B, X_new, Y_new, task)
+    rows = _best_rows(softmax_weights(pairwise_distances(sol.Z)), sol.B,
+                      X_new, Y_new, task)
     B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[rows], sol.Z[rows],
                                      hp, config)
     return B_new, Z_new, row_contributions(Xc, Yc, B_new, Z_new, hp, task,

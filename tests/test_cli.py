@@ -691,6 +691,58 @@ class TestBadCsv:
         assert named in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["d.csv"]
 
+    @pytest.mark.parametrize("command", ["fit", "add"])
+    def test_non_utf8_csv_is_data_error_naming_it(self, workspace, tmp_path,
+                                                  capsys, command):
+        _, gen, sol_path = workspace
+        data = tmp_path / "d.csv"
+        data.write_bytes((gen / "data.csv").read_bytes() + b"\xff,1\n")
+        argv = (["fit", "--target", "y", "--lambda-z", "0.1"]
+                if command == "fit" else ["add", "--solution", str(sol_path)])
+        rc = main(argv + ["--data", str(data), "--out",
+                          str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and str(data) in err
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_byte_order_mark_is_not_part_of_a_column_name(self, workspace,
+                                                          tmp_path):
+        """A training file saved with a leading byte-order mark adds onto
+        the solution fitted from the file without it."""
+        _, gen, sol_path = workspace
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + (gen / "data.csv").read_bytes())
+        rc = main(["add", "--solution", str(sol_path), "--data", str(data),
+                   "--out", str(tmp_path / "added.csv")])
+        assert rc == 0
+
+
+class TestSolutionNames:
+    @pytest.mark.parametrize("command", ["metrics", "export", "add"])
+    @pytest.mark.parametrize("key, corrupt", [
+        ("task", lambda doc: {**doc, "task": 5}),
+        ("task", lambda doc: {**doc, "task": None}),
+        ("target_names", lambda doc: {**doc, "target_names": [None]}),
+        ("column_names", lambda doc: {
+            **doc, "column_names": [["x1"]] + doc["column_names"][1:]}),
+    ], ids=["task-number", "task-null", "target-name-null",
+            "column-name-list"])
+    def test_non_string_name_is_data_error(self, workspace, tmp_path, capsys,
+                                           command, key, corrupt):
+        """A solution whose task or a name is not a string is refused on
+        loading, naming the key, by every command that reads it."""
+        _, gen, sol_path = workspace
+        bad = tmp_path / "sol.json"
+        bad.write_text(json.dumps(corrupt(json.loads(sol_path.read_text()))))
+        argv = [command, "--solution", str(bad), "--out",
+                str(tmp_path / "out")]
+        if command == "add":
+            argv += ["--data", str(gen / "data.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and repr(key) in err
+
 
 def write_classification_csv(path, n=40, seed=0):
     rng = np.random.default_rng(seed)

@@ -208,6 +208,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=message):
             load_csv(p, "y", task)
 
+    def test_non_utf8_byte_is_data_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,y\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_csv(p, "y", "regression")
+        assert str(p) in str(err.value)
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes("a,y\n1,2\n3,4\n".encode("utf-8-sig"))
+        ds = load_csv(p, "y", "regression")
+        assert ds.column_names == ["a"]
+        np.testing.assert_array_equal(ds.X_raw, [[1], [3]])
+
     def test_label_column_split_off(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y,lab\n1,2,3,0\n4,5,6,1\n")

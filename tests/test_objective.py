@@ -18,8 +18,8 @@ from slisemap.objective import (Hyperparams, Workspace, _as_problem,
                                 _forward, added_loss_and_gradients,
                                 local_loss_matrix, loss_and_gradients,
                                 pairwise_distances, row_contributions,
-                                softmax_weights, total_loss,
-                                uniform_loss_and_grad)
+                                softmax_weights, softmax_weights_row,
+                                total_loss, uniform_loss_and_grad)
 from slisemap.solver import escape
 
 REG = TaskKind.regression()
@@ -111,6 +111,29 @@ class TestSoftmaxWeights:
             D = pairwise_distances(rng.standard_normal((7, 2)))
             W = softmax_weights(D)
             assert (np.diag(W)[:, None] >= W - 1e-15).all()
+
+    @pytest.mark.parametrize("n, d, scale", [(40, 2, 1.0), (200, 2, 1.0),
+                                             (40, 3, 5.0), (60, 1, 0.1)])
+    def test_row_is_the_full_routes_row(self, rng, n, d, scale):
+        """The O(n) row ``softmax_weights_row(Z, r)`` is row r of
+        ``softmax_weights(pairwise_distances(Z))`` on embeddings without
+        coincident rows.  The one-row Gram product may round Z_r . Z_j
+        differently from the all-rows one, by up to eps |Z_r| |Z_j|; that
+        moves D_rj by that over D_rj, and W_rj and the row's normalization
+        by as much, so each weight is held to 1e-15 relative plus twice
+        the largest such move of its row."""
+        Z = scale * rng.standard_normal((n, d))
+        W = softmax_weights(pairwise_distances(Z))
+        D = pairwise_distances(Z)
+        np.fill_diagonal(D, np.inf)
+        assert D.min() > 0.0
+        norms = np.linalg.norm(Z, axis=1)
+        eps = np.finfo(float).eps
+        for r in range(n):
+            got = softmax_weights_row(Z, r)
+            assert got.shape == (n,)
+            tol = 1e-15 + 2.0 * eps * (norms[r] * norms / D[r]).max()
+            assert (np.abs(got - W[r]) <= tol * W[r]).all()
 
 
 class TestLocalLossMatrix:

@@ -514,35 +514,34 @@ class TestAddNew:
             want = add_new(fresh, new.X[i:i + 1], new.Y[i:i + 1], config)
             assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
 
-    def test_batch_adds_share_one_forward_pass(self, small_fit,
-                                               monkeypatch):
-        """Two joint batch adds on one Solution make one pass over its n
-        rows in all, whose weights are those of the solution's embedding
-        to the last bit, and give the bytes of the same adds on fresh
+    def test_adds_keep_no_n_by_n_array(self, small_fit):
+        """After single, batch and one-by-one adds a Solution holds no array
+        of n^2 entries or more, neither as a field nor in its kept start
+        base, and two batch adds give the bytes of the same adds on fresh
         copies of the solution."""
         _, fitted = small_fit
         sol = Solution.from_json_dict(fitted.to_json_dict())
+        n = sol.n
+        assert n > max(sol.X.shape[1], sol.B.shape[1], sol.Y.shape[1],
+                       sol.Z.shape[1])
         new, _ = generate_rsynth(RsynthSpec(n=6, m=4, seed=12))
         config = SolverConfig(seed=11)
-        passes = []
-
-        def counting(build, rows):
-            def wrapped(*args):
-                if rows(*args).shape[0] == sol.n:
-                    passes.append(build.__name__)
-                return build(*args)
-            return wrapped
-
-        for module in (solver, objective):
-            monkeypatch.setattr(module, "_forward", counting(
-                module._forward, lambda X, Y, B, *rest: B))
-        monkeypatch.setattr(solver, "pairwise_distances", counting(
-            solver.pairwise_distances, lambda Z: Z))
+        add_new(sol, new.X[:1], new.Y[:1], config)
         got = [add_new(sol, new.X[i:i + 3], new.Y[i:i + 3], config)
                for i in (0, 3)]
-        assert passes == ["_forward"]
-        W = softmax_weights(pairwise_distances(sol.Z))
-        assert sol._start_base[3].tobytes() == W.tobytes()
+        add_new(sol, new.X, new.Y, config, one_by_one=True)
+
+        def arrays(v):
+            if isinstance(v, np.ndarray):
+                yield v
+            elif isinstance(v, (list, tuple)):
+                for item in v:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(v):
+                yield from arrays(list(vars(v).values()))
+
+        assert "_start_base" in vars(sol)
+        assert max(a.size for a in arrays(list(vars(sol).values()))) < n * n
         for i, out in zip((0, 3), got):
             fresh = Solution.from_json_dict(sol.to_json_dict())
             want = add_new(fresh, new.X[i:i + 3], new.Y[i:i + 3], config)
@@ -585,7 +584,7 @@ class TestAddNew:
         task, X, Y, B, Z, hp = problem
         n = X.shape[0] - 1  # old rows; the last item is the new one
         assume(n >= 1)
-        S, w, pen, _ = solver._copy_base(X[:n], Y[:n], B[:n], Z[:n], hp,
+        S, w, pen = solver._copy_base(X[:n], Y[:n], B[:n], Z[:n], hp,
                                          task)
         L = local_loss_matrix(B[:n], X[n:], Y[n:], task)[:, 0]
         f = (S + w * L) / (1.0 + w) + pen
@@ -723,7 +722,7 @@ class TestAddNew:
         X = np.hstack([ds.X[:, :1], ds.X])
         config = SolverConfig(seed=5, max_outer_iters=1)
         sol = fit(X[:30], ds.Y[:30], Hyperparams(lambda_z=0.1), REG, config)
-        S, w, pen, _ = sol._start_base
+        S, w, pen = sol._start_base
         for i in range(30, 34):
             x, y = X[i:i + 1], ds.Y[i:i + 1]
             x0, (B_new, Z_new, losses) = start_of_single_add(sol, x, y,

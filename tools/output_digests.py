@@ -83,7 +83,7 @@ def digest_line(p) -> str:
             [a.tobytes() for a in single]:
         raise AssertionError("single-row add_new calls differ from the "
                              "one_by_one call")
-    S, w, pen, _ = sol._start_base
+    S, w, pen = sol._start_base
     for i, (B_i, Z_i, loss) in enumerate(calls):
         x, y = p.X_new[i:i + 1], p.Y_new[i:i + 1]
         contrib = solver.row_contributions(
