@@ -34,6 +34,14 @@ Z; an N x d stacked embedding with the frozen rows written once and the
 optimized rows written per call; the frozen rows' squared norms; and the
 view of the k self-pairs (i, n_old + i) of the distance buffer.  An
 evaluation enters one ``errstate``.
+
+The classification B gradient sums over the items sequentially, in the
+fixed order j = 0, 1, ..., N - 1 (one einsum, not a BLAS product, whose
+blocking would round differently).  Its layout is chosen by shape: with
+fewer model rows than columns of X (a single add) the planes stay
+class-major, otherwise they are written items-first into the dead
+Hellinger planes, so that numpy's inner loop runs along the rows; both
+layouts give the same bytes.
 """
 
 from __future__ import annotations
@@ -314,11 +322,14 @@ def local_loss_matrix(B: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return _local_losses(B, X, Y, task, Workspace())[0]
 
 
-def _grad_b(B, X, task: TaskKind, V, cache, work: Workspace) -> np.ndarray:
+def _grad_b(B, X, task: TaskKind, V, cache) -> np.ndarray:
     """Gradient of sum_ij V_ij L_ij with respect to B, as a fresh array.
 
-    Overwrites the probability planes (classification) or the scratch
-    buffer "T" (regression).
+    Overwrites the probability and Hellinger planes (classification) or
+    the residuals (regression).  Each classification entry is the
+    sequential sum over items j of G_cij X_jk (module docstring); with at
+    least as many model rows as columns of X, G is staged items-first,
+    (N, p-1, k), in the Hellinger planes.
     """
     if task.is_classification:
         Q, H, Hsum = cache
@@ -328,10 +339,14 @@ def _grad_b(B, X, task: TaskKind, V, cache, work: Workspace) -> np.ndarray:
         np.subtract(H[:task.n_classes - 1], G, out=G)
         G *= -0.5
         G *= V
-        return np.einsum("cij,jk->ick", G, X).reshape(B.shape)
-    T = work.buffer("T", cache.shape)
-    np.multiply(V, cache, out=T)
-    gB = T @ X
+        k, N = V.shape
+        if k < X.shape[1]:  # e.g. a single add, where the copy costs more
+            return np.einsum("cij,jk->ick", G, X).reshape(B.shape)
+        Gt = H.reshape(-1)[:G.size].reshape(N, -1, k)
+        Gt[...] = G.transpose(2, 0, 1)
+        return np.einsum("jci,jk->kci", Gt, X).T.reshape(B.shape)
+    np.multiply(V, cache, out=cache)
+    gB = cache @ X
     gB *= 2.0
     return gB
 
@@ -379,7 +394,7 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     (B, Z), as fresh arrays."""
     S, Z_all, D, W, L, cache = _forward(X, Y, B, Z, Z_old, task, work)
     total = _total(S, B, Z, hp, what)
-    gB = _grad_b(B, X, task, W, cache, work)
+    gB = _grad_b(B, X, task, W, cache)
     gB += hp.lambda_lasso * np.sign(B)
 
     # The Z dependence goes only through the softmax weights: row i's term
@@ -387,10 +402,10 @@ def _evaluate(X, Y, B, Z, Z_old, hp: Hyperparams, task: TaskKind,
     # between two optimized rows appears in both of their terms, so on
     # that block the coefficients add up to M + M^T.
     n_old = Z_old.shape[0]
-    M = work.buffer("T", L.shape)
+    M = L  # the losses are not needed any more
     np.subtract(S[:, None], L, out=M)
     M *= W
-    A = L  # the losses are not needed any more
+    A = work.buffer("T", L.shape)
     A[:, :n_old] = M[:, :n_old]
     np.add(M[:, n_old:], M[:, n_old:].T, out=A[:, n_old:])
     inv = D  # 1 / sqrt(D^2 + eps), over the distances
@@ -476,9 +491,8 @@ def uniform_loss_and_grad(b: np.ndarray, X, Y, task: TaskKind,
     """
     X, Y, B, _, _ = _as_problem(task, X, Y, [b])
     b = B[0]
-    work = Workspace()
-    L, cache = _local_losses(B, X, Y, task, work)
+    L, cache = _local_losses(B, X, Y, task, Workspace())
     f = float(L.sum()) + lambda_lasso * float(np.abs(b).sum())
-    g = _grad_b(B, X, task, np.ones_like(L), cache, work)[0] \
+    g = _grad_b(B, X, task, np.ones_like(L), cache)[0] \
         + lambda_lasso * np.sign(b)
     return f, g

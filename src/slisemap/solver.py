@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -86,6 +87,17 @@ def _text(key: str, value, many: bool = False):
         ok = isinstance(value, str)
     if not ok:
         want = "a list of strings" if many else "a string"
+        raise DataError(f"solution key {key!r} is not {want}")
+    return value
+
+
+def _number(key: str, value, integer: bool = False):
+    """``value`` of the solution key ``key`` when it is a number, or with
+    ``integer`` an integer, and not a boolean; otherwise a DataError naming
+    the key."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        want = "an integer" if integer else "a number"
         raise DataError(f"solution key {key!r} is not {want}")
     return value
 
@@ -201,11 +213,12 @@ class Solution:
     def from_json_dict(cls, doc: dict) -> "Solution":
         """The solution a :meth:`to_json_dict` document describes; a
         missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError.  ``task`` must be a string and
-        ``column_names`` and ``target_names`` lists of strings.  A file
-        written before ``loss_history`` was saved has ``[final_loss]`` as
-        its history, one before ``stop_reason`` "numeric" if
-        ``numeric_warning`` else "".
+        mismatched arrays a ShapeError.  ``task`` must be a string,
+        ``column_names`` and ``target_names`` lists of strings, ``seed`` and
+        ``d`` integers and ``lambda_z`` and ``lambda_lasso`` numbers, none
+        of them a boolean.  A file written before ``loss_history`` was
+        saved has ``[final_loss]`` as its history, one before
+        ``stop_reason`` "numeric" if ``numeric_warning`` else "".
         Each derived key (``n``, ``m``, ``d``, ``p``, ``final_loss``,
         ``outer_iters_used``, ``numeric_warning``) the document holds must
         equal what :meth:`to_json_dict` writes for the solution, booleans
@@ -213,15 +226,17 @@ class Solution:
         ``loss_history`` keeps its ``outer_iters_used``."""
         try:
             legacy = "loss_history" not in doc
-            hp = Hyperparams(lambda_z=doc["lambda_z"],
-                             lambda_lasso=doc["lambda_lasso"], d=doc["d"])
+            hp = Hyperparams(
+                lambda_z=_number("lambda_z", doc["lambda_z"]),
+                lambda_lasso=_number("lambda_lasso", doc["lambda_lasso"]),
+                d=int(_number("d", doc["d"], integer=True)))
             sol = cls(
                 X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
                 hyperparams=hp,
                 task=TaskKind.from_string(_text("task", doc["task"])),
                 loss_history=[float(v) for v in (
                     [doc["final_loss"]] if legacy else doc["loss_history"])],
-                seed=int(doc["seed"]),
+                seed=int(_number("seed", doc["seed"], integer=True)),
                 column_names=list(_text("column_names",
                                         doc["column_names"], many=True)),
                 normalization=Normalization(

@@ -289,13 +289,24 @@ class TestMetrics:
             **doc["normalization"],
             "std": [-1.0] + doc["normalization"]["std"][1:]}}),
          "normalization"),
+        *[(lambda doc, key=key, value=value: json.dumps({**doc, key: value}),
+           repr(key))
+          for key, values in (("seed", (2.5, True, 2.0)),
+                              ("d", (2.5, True, 2.0)),
+                              ("lambda_z", (True, "x")),
+                              ("lambda_lasso", (True, "x")))
+          for value in values],
     ], ids=["invalid-json", "missing-key", "truncated-B", "nan-in-B",
             "non-boolean-numeric-warning", "unknown-stop-reason",
             "nan-final-loss", "infinite-final-loss", "nan-in-history",
             "increasing-history", "empty-history", "final-loss-off-history",
             "n-off-arrays", "m-off-columns", "p-off-targets",
             "rounds-off-history", "numeric-warning-off-stop-reason",
-            "numeric-warning-one", "zero-std", "negative-std"])
+            "numeric-warning-one", "zero-std", "negative-std",
+            "fractional-seed", "boolean-seed", "float-seed",
+            "fractional-d", "boolean-d", "float-d",
+            "boolean-lambda-z", "text-lambda-z",
+            "boolean-lambda-lasso", "text-lambda-lasso"])
     def test_corrupt_solution_is_data_error(self, workspace, tmp_path,
                                             capsys, corrupt, named):
         _, _, sol_path = workspace

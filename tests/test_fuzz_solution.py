@@ -1,0 +1,105 @@
+"""Corrupt solution files through the command line: every command that
+reads a solution ends with exit code 0, 3 or 4, never a traceback.
+
+A saved n = 30 regression solution has one or more of its top-level keys,
+or the normalization's mean or std, replaced by a value of the wrong kind
+or deleted.  ``metrics``, ``export`` and ``add`` then read the file in
+process through ``cli.main``.  Hypothesis draws the mutations from a fixed
+seed (``derandomize=True``), so every run tries the same files.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slisemap.cli import main
+
+N = 30
+DELETE = object()  # the mutation that removes the key
+VALUES = (None, "x", [], {}, 1e308, -1, 0, True, [[1, 2]], float("nan"),
+          [["a"]], [[None]], 2.5, 1e30)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(solution document, path of a three-row add file)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    gen, sol = root / "gen", root / "sol.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--n", str(N), "--m", "3", "--seed", "1",
+                     "--out", str(gen)]) == 0
+        assert main(["fit", "--data", str(gen / "data.csv"), "--target", "y",
+                     "--lambda-z", "0.1", "--seed", "1",
+                     "--out", str(sol)]) == 0
+    add = root / "add.csv"
+    add.write_text("".join((gen / "data.csv").read_text()
+                           .splitlines(keepends=True)[:4]))
+    return json.loads(sol.read_text()), add
+
+
+def _targets():
+    """Every top-level key of a solution document, and the two arrays of
+    its normalization, as key paths."""
+    doc_keys = ("task", "n", "m", "d", "p", "lambda_z", "lambda_lasso",
+                "column_names", "target_names", "normalization", "B", "Z",
+                "X", "Y", "final_loss", "seed", "outer_iters_used",
+                "loss_history", "numeric_warning", "stop_reason")
+    return [(key,) for key in doc_keys] + [("normalization", "mean"),
+                                           ("normalization", "std")]
+
+
+def mutated(doc, mutations):
+    """A copy of ``doc`` with each (key path, value) applied in turn; a
+    path under a key an earlier mutation replaced or deleted is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in mutations:
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node.get(p) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is DELETE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    return doc
+
+
+def test_targets_are_every_key_of_a_saved_solution(saved):
+    doc, _ = saved
+    assert {path[0] for path in _targets()} == set(doc)
+
+
+MUTATIONS = st.tuples(st.sampled_from(_targets()),
+                      st.sampled_from((DELETE, *VALUES)))
+
+
+@pytest.mark.parametrize("target", _targets(), ids="/".join)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(value=st.sampled_from((DELETE, *VALUES)),
+       others=st.lists(MUTATIONS, max_size=2))
+def test_commands_exit_cleanly_on_a_corrupt_solution(saved, target, value,
+                                                     others):
+    """``target`` set to ``value`` (or deleted), then up to two more keys
+    mutated."""
+    doc, add = saved
+    mutations = [(target, value), *others]
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        out = Path(tmp)
+        sol = out / "sol.json"
+        sol.write_text(json.dumps(mutated(doc, mutations)))
+        for argv in (["metrics", "--out", out / "report.json"],
+                     ["export", "--out", out / "export.csv"],
+                     ["add", "--data", add, "--out", out / "added.csv"]):
+            rc = main([str(a) for a in [argv[0], "--solution", sol,
+                                        *argv[1:]]])
+            assert rc in (0, 3, 4), (argv[0], mutations, rc)

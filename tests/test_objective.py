@@ -15,7 +15,8 @@ from conftest import (central_difference, hellinger_sq, linear_predict,
 from slisemap.errors import NumericError, ShapeError
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, Workspace, _as_problem,
-                                _forward, added_loss_and_gradients,
+                                _forward, _grad_b, _local_losses,
+                                added_loss_and_gradients,
                                 local_loss_matrix, loss_and_gradients,
                                 pairwise_distances, row_contributions,
                                 softmax_weights, softmax_weights_row,
@@ -376,6 +377,36 @@ class TestKernelProperties:
         evaluate(second, work=work)
         evaluate((task, X, Y, B + 1.0, Z - 1.0, hp), work=work)  # same shapes
         assert_bit_identical(out, kept)
+
+
+def class_major_grad_b(B, X, V, cache):
+    """The classification B gradient in its first form: the weighted
+    gradient planes G (classes x rows x items), summed over the items by one
+    class-major einsum.  The kernel's layout must reproduce these bytes."""
+    Q, H, Hsum = cache
+    free = Q.shape[0] - 1
+    G = (H[:free] - Q[:free] * Hsum) * -0.5
+    G *= V
+    return np.einsum("cij,jk->ick", G, X).reshape(B.shape)
+
+
+class TestClassificationGradB:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("rows", ["1", "q-1", "q", "q+1", "150"])
+    def test_every_layout_gives_the_class_major_bytes(self, p, rows):
+        """Whatever layout the kernel picks for k model rows against N
+        items, its gradient equals the class-major einsum byte for byte."""
+        task, q = TaskKind.classification(p), 11
+        k = {"1": 1, "q-1": q - 1, "q": q, "q+1": q + 1, "150": 150}[rows]
+        rng = np.random.default_rng([p, k])
+        for N in sorted({k, k + 7, 300}):
+            X, Y, B, _, _ = random_instance(task, N, q - 1, 2, rng)
+            B, V = B[:k], rng.random((k, N))
+            _, cache = _local_losses(B, X, Y, task, Workspace())
+            want = class_major_grad_b(B, X, V, cache)
+            _, cache = _local_losses(B, X, Y, task, Workspace())
+            got = _grad_b(B, X, task, V, cache)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestWorkspaceAllocation:

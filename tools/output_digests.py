@@ -16,7 +16,10 @@ raises if a fitted solution's document, read back with
 ``Solution.from_json_dict``, does not give the same document.  Two commits
 whose lines are equal give bit-identical outputs on these inputs.  The
 training sets and fresh points are those of
-``benchmarks/workloads.make_problems(wl, 1)``.
+``benchmarks/workloads.make_problems(wl, 1)``.  Two more lines, ``clf80
+p=2`` and ``clf80 p=5``, do the same for a 2-class and a 5-class problem
+(``class_problem``), so that classification outputs are pinned beyond
+``clf200``'s 3 classes.
 
 The last line, ``cli``, runs the command-line pipeline (``generate`` at
 n = 60, ``fit``, ``metrics``, ``add``, ``sweep --subsample``, ``export`` and
@@ -53,10 +56,31 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
 from slisemap import cli, metrics, solver  # noqa: E402
-from slisemap.objective import local_loss_matrix  # noqa: E402
+from slisemap.data import RsynthSpec, generate_rsynth  # noqa: E402
+from slisemap.model import TaskKind  # noqa: E402
+from slisemap.objective import Hyperparams, local_loss_matrix  # noqa: E402
 
 N_BATCH = 20
 N_SINGLE = 10
+CLASS_COUNTS = (2, 5)  # the extra classification lines
+
+
+def class_problem(p: int) -> workloads.Problem:
+    """A small p-class problem: the first 80 rows of rsynth(100, 4,
+    seed 1) with class probabilities from seeded per-cluster multinomial
+    models, fitted with ``SolverConfig(seed=1, max_outer_iters=1)``; the
+    last N_BATCH = 20 rows are the fresh points."""
+    n, m = 80, 4
+    spec = RsynthSpec(n=n + N_BATCH, m=m, seed=1)
+    ds, _ = generate_rsynth(spec)
+    models = np.random.default_rng([p, 7]).standard_normal(
+        (spec.k_clusters, m + 1, p - 1))
+    Y = workloads.class_probabilities(ds.X_raw, ds.labels, models)
+    return workloads.Problem(
+        X=ds.X[:n], Y=Y[:n], labels=ds.labels[:n], X_new=ds.X[n:],
+        Y_new=Y[n:], n_single=N_SINGLE, task=TaskKind.classification(p),
+        hp=Hyperparams(lambda_z=workloads.LAMBDA_Z),
+        config=solver.SolverConfig(seed=1, max_outer_iters=1), probe=None)
 
 
 def digest(*parts) -> str:
@@ -140,6 +164,9 @@ def main() -> None:
         wl = workloads.WORKLOADS[name]
         for seed, p in zip(wl.train_seeds, workloads.make_problems(wl, 1)):
             print(f"{name} seed {seed}: {digest_line(p)}", flush=True)
+    for p in CLASS_COUNTS:
+        print(f"clf80 p={p} seed 1: {digest_line(class_problem(p))}",
+              flush=True)
     print(f"cli: {cli_line()}", flush=True)
 
 
