@@ -26,10 +26,20 @@ steepest-descent step of a point added as a copy of an old row, thus
 shrinks the bracket tenfold per evaluation instead of halving it.
 
 Termination, named by ``MinimizeResult.reason``: gradient sup-norm below
-``_GRAD_TOL``, relative loss improvement below ``rel_tol``, the iteration
-cap, or a failed line search.  A failed line search is not an error: its
-lowest trial, when below the current loss, becomes the last iterate, and
-the caller keeps going.
+``_GRAD_TOL`` ("gradient"); two consecutive accepted steps that each
+improve the loss by at most ``rel_tol`` of it ("f-rel"); the iteration cap
+("max-iters"); a failed line search ("line-search"); or, for a caller that
+passes a ``band`` (lo, hi), the best loss inside it at the first iteration
+where two consecutive steps each improve the loss by at most ten times
+``rel_tol`` of it, the f-rel test with a tenfold bar (``_BAND_BAR``;
+"band").  The band is looked at only there, once: a solve whose best loss
+is outside it then runs on exactly as without one.  A fit passes its
+escape rounds the loss band where a round can only confirm the best loss,
+so those rounds stop early instead of being solved out.  A
+failed line search is not an error: its lowest trial, when below the
+current loss, becomes the last iterate, and the caller keeps going.  A
+gradient whose squared norm overflows is one: no step can be scaled to it,
+and ``minimize`` raises a NumericError.
 """
 
 from __future__ import annotations
@@ -40,12 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 _C1 = 1e-4
 _C2 = 0.9
 _GRAD_TOL = 1e-9
 _MAX_LS_EVALS = 30  # objective evaluations per line search
 _HISTORY = 10  # curvature pairs kept
 _MAX_STEP = 1e10  # largest trial step
+_BAND_BAR = 10.0  # the band is looked at under this multiple of rel_tol
+# Non-finite trial losses and slopes are handled as values (a trial that
+# overflows brackets the step), so their numpy warnings are noise.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -140,8 +156,9 @@ def _two_loop(g, pairs, gamma):
     return q
 
 
+@_QUIET
 def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
-             max_first_step=None) -> MinimizeResult:
+             max_first_step=None, band=None) -> MinimizeResult:
     """Minimize ``fun_and_grad`` starting from ``x0``.
 
     ``fun_and_grad(x)`` must return ``(float, ndarray)``.  The returned
@@ -152,6 +169,10 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
     best loss the earliest is returned.
     ``max_first_step``, if given, bounds how far the first iteration's
     trial point moves any coordinate from ``x0``.
+    ``band``, if given as ``(lo, hi)``, ends the solve ("band") when its
+    best loss lies in ``[lo, hi]`` at the first iteration where two
+    consecutive steps each improve the loss by at most ``_BAND_BAR *
+    rel_tol`` of it; the band is looked at there only.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_and_grad(x)
@@ -160,7 +181,7 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
     pairs = deque(maxlen=_HISTORY)  # curvature pairs (s, y, 1 / s.y)
     gamma = 1.0
     reason = "max-iters"
-    stalls = 0
+    stalls = loose = 0  # consecutive steps under the f-rel and band bars
     it = 0
 
     while it < max_iters:
@@ -177,6 +198,9 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
             gamma = 1.0
             p = -g
             dphi0 = -float(g.dot(g))
+            if not math.isfinite(dphi0):
+                raise NumericError("the gradient's squared norm is not "
+                                   "finite")
         if pairs:
             alpha0 = 1.0
         else:
@@ -210,11 +234,18 @@ def minimize(fun_and_grad, x0, *, max_iters=500, rel_tol=1e-6,
         # stiff instances and does not mean convergence.
         if improvement <= stall_bar:
             stalls += 1
-            if stalls >= 2:
-                reason = "f-rel"
-                break
         else:
             stalls = 0
+        if band is not None:
+            loose = loose + 1 if improvement <= _BAND_BAR * stall_bar else 0
+            if loose >= 2:
+                if band[0] <= best_f <= band[1]:
+                    reason = "band"
+                    break
+                band = None  # looked at once
+        if stalls >= 2:
+            reason = "f-rel"
+            break
 
     return MinimizeResult(x=best_x, fun=best_f, n_iters=it, n_evals=n_evals,
                           reason=reason)

@@ -34,6 +34,13 @@ from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
 # rounds that chase them cost about a fifth of a fit's evaluations.
 _ROUND_TOL = 1e-3
 
+
+def _plateau_top(best_f: float) -> float:
+    """The top of the plateau band [best_f, _plateau_top(best_f)]: a round
+    that ends in it without gaining confirms the best loss ``best_f``."""
+    return best_f + 0.01 * max(abs(best_f), 1.0)
+
+
 # Why a fit stopped (``Solution.stop_reason``): the round cap was reached,
 # two rounds since the last gain ended near the best loss, ten rounds in a
 # row gained nothing, or a solve failed numerically.
@@ -179,13 +186,24 @@ class Solution:
         return _copy_base(self.X, self.Y, self.B, self.Z, self.hyperparams,
                           self.task)
 
-    def to_json_dict(self) -> dict:
+    def _derived_keys(self) -> dict:
+        """The document keys read off the arrays and the record, which a
+        document must agree with to load (:meth:`from_json_dict`)."""
         return {
-            "task": self.task.to_string(),
             "n": self.n,
             "m": len(self.column_names),
             "d": self.hyperparams.d,
             "p": self.Y.shape[1],
+            "final_loss": self.final_loss,
+            "outer_iters_used": self.outer_iters_used,
+            "numeric_warning": self.stop_reason == "numeric",
+        }
+
+    def to_json_dict(self) -> dict:
+        derived = self._derived_keys()
+        return {
+            "task": self.task.to_string(),
+            **{k: derived[k] for k in ("n", "m", "d", "p")},
             "lambda_z": self.hyperparams.lambda_z,
             "lambda_lasso": self.hyperparams.lambda_lasso,
             "column_names": list(self.column_names),
@@ -198,11 +216,11 @@ class Solution:
             "Z": self.Z.tolist(),
             "X": self.X.tolist(),
             "Y": self.Y.tolist(),
-            "final_loss": self.final_loss,
+            "final_loss": derived["final_loss"],
             "seed": self.seed,
-            "outer_iters_used": self.outer_iters_used,
+            "outer_iters_used": derived["outer_iters_used"],
             "loss_history": list(self.loss_history),
-            "numeric_warning": self.stop_reason == "numeric",
+            "numeric_warning": derived["numeric_warning"],
             "stop_reason": self.stop_reason,
         }
 
@@ -223,7 +241,9 @@ class Solution:
         ``outer_iters_used``, ``numeric_warning``) the document holds must
         equal what :meth:`to_json_dict` writes for the solution, booleans
         included, or it is a DataError naming the key; a file without
-        ``loss_history`` keeps its ``outer_iters_used``."""
+        ``loss_history`` keeps its ``outer_iters_used``.  The check reads
+        them from ``_derived_keys``, which the writer uses too, and does
+        not serialize the arrays."""
         try:
             legacy = "loss_history" not in doc
             hp = Hyperparams(
@@ -252,12 +272,10 @@ class Solution:
         except (TypeError, ValueError) as exc:
             raise DataError(f"solution has a malformed value: {exc}") \
                 from None
-        written = sol.to_json_dict()
-        for key in ("n", "m", "d", "p", "final_loss", "outer_iters_used",
-                    "numeric_warning"):
+        for key, want in sol._derived_keys().items():
             if legacy and key == "outer_iters_used":
                 continue  # older files count rounds their history lacks
-            v, want = doc.get(key, written[key]), written[key]
+            v = doc.get(key, want)
             if v != want or isinstance(v, bool) != isinstance(want, bool):
                 raise DataError(f"solution key {key!r} is {v!r}, but the "
                                 f"solution it describes gives {want!r}")
@@ -315,15 +333,17 @@ def init(X, Y, hp: Hyperparams, task: TaskKind, seed: int):
     return B0, Z0
 
 
+@_QUIET
 def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
-                   config: SolverConfig, *, max_first_step=None):
+                   config: SolverConfig, *, max_first_step=None, band=None):
     """Minimize a callback over (B, Z) jointly; returns (B, Z, loss).
 
     ``fun_and_grad(B, Z)`` must return ``(loss, dB, dZ)``.  The two blocks
     are flattened into one parameter vector for the quasi-Newton core;
     ``hp.lambda_z`` sets the scale of its embedding block.
-    ``max_first_step`` is passed to :func:`lbfgs.minimize`, in the units of
-    that vector (B and the rescaled embedding).
+    ``max_first_step`` and ``band`` are passed to :func:`lbfgs.minimize`,
+    the first in the units of that vector (B and the rescaled embedding).
+    Penalties too large for floats end in a NumericError, not a warning.
     """
     nb = B0.size
     # Large lambda_z makes the embedding block of the Hessian (about
@@ -346,7 +366,8 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
 
     x0 = np.concatenate([B0.ravel(), (Z0 * scale).ravel()])
     res = lbfgs.minimize(fg, x0, max_iters=config.lbfgs_max_iters,
-                         rel_tol=config.rel_tol, max_first_step=max_first_step)
+                         rel_tol=config.rel_tol, max_first_step=max_first_step,
+                         band=band)
     B, V = unpack(res.x)
     return B.copy(), unscaled(V).copy(), res.fun
 
@@ -384,7 +405,14 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     such a gain (``"no-gain"``; escape may visit worse basins first), after
     ``config.max_outer_iters`` rounds (``"max-outer-iters"``), or on a
     numeric failure (``"numeric"``); ``Solution.stop_reason`` says which.
-    ``config.rel_tol`` is the inner L-BFGS tolerance only.  Non-finite
+    ``config.rel_tol`` is the inner L-BFGS tolerance only.  Each round's
+    solve gets the plateau band [best loss, ``_plateau_top`` of it]: at
+    its first point of two consecutive steps that each gain at most ten
+    times ``rel_tol`` of the loss (``lbfgs._BAND_BAR``), a solve whose
+    best loss is in the band ends there ("band").  Such a round ends at or
+    above the best loss, so it is never adopted, and it counts as a
+    plateau round just as solving it out would; a round below or above
+    the band runs on to ``rel_tol``.  Non-finite
     entries of X or Y are a DataError naming the array.
 
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
@@ -433,7 +461,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     while stop_reason != "numeric" and len(history) <= config.max_outer_iters:
         B_e, Z_e = escape(X, Y, B, Z, task)
         try:
-            B, Z, f = lbfgs_minimize(fun_and_grad, B_e, Z_e, hp, config)
+            B, Z, f = lbfgs_minimize(fun_and_grad, B_e, Z_e, hp, config,
+                                     band=(best_f, _plateau_top(best_f)))
         except NumericError:
             warnings.warn("numeric failure mid-fit; returning the best "
                           "state found so far")
@@ -448,7 +477,7 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
             no_gain = 0
         else:
             no_gain += 1
-            if f <= best_f + 0.01 * max(abs(best_f), 1.0):
+            if f <= _plateau_top(best_f):
                 plateau += 1
             if plateau >= 2 or no_gain >= 10:
                 stop_reason = "plateau" if plateau >= 2 else "no-gain"

@@ -212,6 +212,32 @@ class TestAdd:
                    "--one-by-one", "--out", str(tmp_path / "a.csv")])
         assert rc == 0
 
+    @pytest.mark.parametrize("one_by_one", [False, True],
+                             ids=["batch", "one-by-one"])
+    @pytest.mark.parametrize("key", ["lambda_z", "lambda_lasso"])
+    def test_huge_penalty_is_numeric_error_without_warnings(
+            self, workspace, tmp_path, capsys, key, one_by_one):
+        """A penalty too large for floats ends the add with exit code 4
+        and one error line, and no numpy warning."""
+        _, gen, sol_path = workspace
+        doc = json.loads(sol_path.read_text())
+        doc[key] = 1e308
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        few = tmp_path / "few.csv"
+        lines = (gen / "data.csv").read_text().splitlines()
+        few.write_text("\n".join(lines[:4]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["add", "--solution", str(bad), "--data", str(few),
+                       "--out", str(tmp_path / "a.csv")]
+                      + ["--one-by-one"] * one_by_one)
+        assert rc == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("slisemap: error: numeric")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestMetrics:
     def test_report_files_and_fanout(self, workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@
 contract, and termination behaviour."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.optimize
 import scipy.special
 
 from slisemap import lbfgs
+from slisemap.errors import NumericError
 from slisemap.lbfgs import minimize
 
 
@@ -394,3 +396,163 @@ class TestStepCap:
         assert not ok and alpha == lbfgs._MAX_STEP == 1e10
         assert f == -1e10 and g.tolist() == [-1.0]
         assert trials == [1e3 * 2.0 ** i for i in range(evals - 1)] + [1e10]
+
+
+def minimize_without_band(fg, x0, *, max_iters=500, rel_tol=1e-6,
+                          steps=None):
+    """Reference solver: ``minimize`` as it was before the band stop, from
+    the same line search and two-loop recursion.  Each accepted step
+    appends (improvement, f-rel bar, best loss after it) to ``steps``."""
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = fg(x)
+    n_evals = 1
+    best_x, best_f = x.copy(), f
+    pairs = deque(maxlen=lbfgs._HISTORY)
+    gamma = 1.0
+    reason = "max-iters"
+    stalls = 0
+    it = 0
+    while it < max_iters:
+        if float(np.abs(g).max(initial=0.0)) < lbfgs._GRAD_TOL:
+            reason = "gradient"
+            break
+        it += 1
+        p = lbfgs._two_loop(g, pairs, gamma)
+        dphi0 = float(g.dot(p))
+        if not math.isfinite(dphi0) or dphi0 >= 0.0:
+            pairs.clear()
+            gamma = 1.0
+            p = -g
+            dphi0 = -float(g.dot(g))
+        alpha0 = 1.0 if pairs else min(
+            1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
+        a, f_new, g_new, evals, ok = lbfgs._strong_wolfe(
+            fg, x, p, f, g, dphi0, alpha0)
+        n_evals += evals
+        if a == 0.0:
+            reason = "line-search"
+            break
+        s = a * p
+        y = g_new - g
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        if sy > 1e-10 * math.sqrt(float(s.dot(s))) * math.sqrt(yy):
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / yy
+        x = x + s
+        improvement = f - f_new
+        stall_bar = rel_tol * max(abs(f), abs(f_new), 1.0)
+        f, g = f_new, g_new
+        if f < best_f:
+            best_x, best_f = x.copy(), f
+        if not ok:
+            reason = "line-search"
+            break
+        if steps is not None:
+            steps.append((improvement, stall_bar, best_f))
+        if improvement <= stall_bar:
+            stalls += 1
+            if stalls >= 2:
+                reason = "f-rel"
+                break
+        else:
+            stalls = 0
+    return lbfgs.MinimizeResult(x=best_x, fun=best_f, n_iters=it,
+                                n_evals=n_evals, reason=reason)
+
+
+def quartic(x):
+    return float((x ** 4).sum() + (x ** 2).sum()), 4.0 * x ** 3 + 2.0 * x
+
+
+def solve_case(rng):
+    """A seeded random solve: (fg, x0, max_iters, rel_tol)."""
+    kind = rng.integers(3)
+    if kind == 0:
+        n = int(rng.integers(2, 9))
+        fg = diagonal_quadratic(10.0 ** rng.uniform(-3, 3, n),
+                                rng.standard_normal(n))
+        x0 = rng.standard_normal(n) * 3
+    elif kind == 1:
+        fg, x0 = rosenbrock, rng.uniform(-2, 2, 2)
+    else:
+        fg, x0 = quartic, rng.standard_normal(int(rng.integers(1, 6))) * 2
+    return (fg, x0, int(rng.integers(5, 200)),
+            float(10.0 ** rng.uniform(-10, -3)))
+
+
+def first_loose_point(steps, rel_tol):
+    """The 1-based iteration at which two consecutive accepted steps first
+    each improve the loss by at most the band bar, and the best loss
+    then; None when no such iteration came."""
+    loose = 0
+    for it, (improvement, bar, best_f) in enumerate(steps, 1):
+        loose = loose + 1 if improvement <= lbfgs._BAND_BAR * bar else 0
+        if loose >= 2:
+            return it, best_f
+    return None
+
+
+def same_result(a, b):
+    return (a.x.tobytes(), a.fun, a.n_iters, a.n_evals, a.reason) == \
+        (b.x.tobytes(), b.fun, b.n_iters, b.n_evals, b.reason)
+
+
+class TestBand:
+    def test_band_not_entered_changes_nothing(self):
+        """With no band, or a band the best loss is outside of at the
+        first loose point, a solve returns what it returned before the
+        band stop existed, bit for bit, even when its loss later enters
+        the band."""
+        rng = np.random.default_rng(20261020)
+        looked = later = 0
+        for _ in range(300):
+            fg, x0, max_iters, rel_tol = solve_case(rng)
+            steps = []
+            ref = minimize_without_band(fg, x0, max_iters=max_iters,
+                                        rel_tol=rel_tol, steps=steps)
+            f0 = fg(x0)[0]
+            bands = [None, (-math.inf, ref.fun - 1.0), (f0 + 1.0, math.inf)]
+            loose = first_loose_point(steps, rel_tol)
+            if loose is not None and loose[1] > ref.fun:
+                bands.append((-math.inf, ref.fun))  # entered only later
+                later += 1
+            looked += loose is not None
+            for band in bands:
+                res = minimize(fg, x0, max_iters=max_iters, rel_tol=rel_tol,
+                               band=band)
+                assert same_result(res, ref), band
+        assert looked >= 100 and later >= 20
+
+    def test_band_entered_stops_at_the_first_loose_point(self):
+        """A band holding the best loss at the first loose point ends the
+        solve there, with the iterate the solve had then."""
+        rng = np.random.default_rng(20261021)
+        saved = 0
+        for _ in range(300):
+            fg, x0, max_iters, rel_tol = solve_case(rng)
+            steps = []
+            ref = minimize_without_band(fg, x0, max_iters=max_iters,
+                                        rel_tol=rel_tol, steps=steps)
+            loose = first_loose_point(steps, rel_tol)
+            if loose is None:
+                continue
+            it, best_f = loose
+            for band in ((-math.inf, math.inf), (best_f, best_f)):
+                res = minimize(fg, x0, max_iters=max_iters, rel_tol=rel_tol,
+                               band=band)
+                assert res.reason == "band"
+                assert res.n_iters == it and res.fun == best_f
+                upto = minimize_without_band(fg, x0, max_iters=it,
+                                             rel_tol=rel_tol)
+                assert res.x.tobytes() == upto.x.tobytes()
+                assert res.n_evals == upto.n_evals <= ref.n_evals
+                assert res.fun >= ref.fun
+            saved += res.n_evals < ref.n_evals
+        assert saved >= 50
+
+    def test_overflowing_gradient_is_a_numeric_error(self):
+        def fg(x):
+            return float(1e300 * np.abs(x).sum()), np.full_like(x, 1e300)
+
+        with pytest.raises(NumericError, match="squared norm"):
+            minimize(fg, np.ones(2))

@@ -331,7 +331,7 @@ class TestFit:
         ds, _ = generate_rsynth(RsynthSpec(n=10, m=2, seed=3))
         losses = iter(script)
 
-        def scripted_minimize(fun_and_grad, B0, Z0, hp, config):
+        def scripted_minimize(fun_and_grad, B0, Z0, hp, config, band=None):
             return B0, Z0, next(losses)
 
         monkeypatch.setattr(solver, "escape", lambda X, Y, B, Z, task: (B, Z))
@@ -341,6 +341,36 @@ class TestFit:
         assert sol.outer_iters_used == len(sol.loss_history) == rounds + 1
         assert sol.final_loss == min(script[:rounds + 1])
         assert sol.stop_reason == reason
+
+    def test_band_ended_rounds_are_never_adopted(self, monkeypatch):
+        """The first solve runs without a band and every escape round
+        under the plateau band of the best loss before it.  A round the
+        band ends stays at or above that loss, so the fit keeps a
+        nonincreasing history and never returns the round's state."""
+        ds, _ = generate_rsynth(RsynthSpec(n=40, m=3, seed=5))
+        solves = []
+        minimize = lbfgs.minimize
+
+        def recording(*args, **kwargs):
+            solves.append((kwargs["band"], minimize(*args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(lbfgs, "minimize", recording)
+        sol = fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG,
+                  SolverConfig(seed=5))
+        h = sol.loss_history
+        assert all(a >= b for a, b in zip(h, h[1:]))
+        assert len(solves) == len(h) and solves[0][0] is None
+        for best_f, (band, _) in zip(h, solves[1:]):
+            assert band == (best_f, solver._plateau_top(best_f))
+        ended = [(band, res) for band, res in solves if res.reason == "band"]
+        # one round mid-fit and the two that stop it
+        assert len(ended) == 3 and sol.stop_reason == "plateau"
+        assert ended[0][1] is not solves[-1][1]
+        state = np.concatenate([sol.B.ravel(), sol.Z.ravel()]).tobytes()
+        for (lo, hi), res in ended:
+            assert lo <= res.fun <= hi and sol.final_loss <= lo
+            assert res.x.tobytes() != state
 
     def test_escape_disabled_terminates_and_is_worse(self):
         """Directional check: without the escape pass the reachable loss is
