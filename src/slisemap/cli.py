@@ -316,7 +316,8 @@ def _add_fit_flags(p, with_lambda_z=True):
                    default=Hyperparams.lambda_lasso, dest="lambda_lasso")
     p.add_argument("--d", type=_positive_int, default=Hyperparams.d,
                    help="embedding dimension")
-    p.add_argument("--seed", type=int, default=solvermod.SolverConfig.seed)
+    p.add_argument("--seed", type=_nonneg_int,
+                   default=solvermod.SolverConfig.seed)
     p.add_argument("--subsample", type=_positive_int, default=None,
                    help="fit on a random subsample of this size")
     p.add_argument("--max-outer-iters", type=_nonneg_int,
@@ -348,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=datamod.RsynthSpec.cluster_std)
     p.add_argument("--noise-std", type=_nonneg_float,
                    default=datamod.RsynthSpec.noise_std)
-    p.add_argument("--seed", type=int, default=datamod.RsynthSpec.seed)
+    p.add_argument("--seed", type=_nonneg_int,
+                   default=datamod.RsynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

@@ -13,6 +13,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,10 @@ class RsynthSpec:
                 f"k_clusters={self.k_clusters}")
         if self.cluster_std < 0 or self.noise_std < 0:
             raise DataError("standard deviations must be nonnegative")
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, Integral) or self.seed < 0:
+            raise DataError(f"seed must be an integer >= 0, got "
+                            f"{self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,8 @@ def _read_table(path):
             header, rows, numbers = _read_rows(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+        raise DataError(f"{path}: not a readable CSV file ({exc})") from None
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return header, table, numbers
 

@@ -26,14 +26,15 @@ so after the first one they allocate nothing of size k x N; at n = 1000 a
 regression solve holds 40 MB of buffers and a 3-class one 88 MB.
 
 The Workspace also keeps what stays fixed over a solve, so that each
-evaluation after the first runs only arithmetic on (B, Z); in a small
-solve (a single add has k = 1) set-up repeated per call would be a large
-share of each evaluation.  It keeps the checked (X, Y, Z_old), recognized
-by identity, against which a later call checks only the shapes of B and
-Z; an N x d stacked embedding with the frozen rows written once and the
-optimized rows written per call; the frozen rows' squared norms; and the
-view of the k self-pairs (i, n_old + i) of the distance buffer.  An
-evaluation enters one ``errstate``.
+evaluation after the first skips that set-up; in a small solve (a single
+add has k = 1) it would be a large share of each evaluation.  It keeps an
+N x d stacked embedding, into which the frozen rows Z_old are written once
+and the optimized rows per call; the frozen rows' squared norms; and the
+view of the k self-pairs (i, n_old + i) of the distance buffer.  It
+recognizes Z_old by identity, so Z_old must not change in place while a
+Workspace is in use; the solver takes it from a read-only ``Solution``.
+The inputs are checked on every call.  An evaluation enters one
+``errstate``.
 
 The classification B gradient sums over the items sequentially, in the
 fixed order j = 0, 1, ..., N - 1 (one einsum, not a BLAS product, whose
@@ -47,8 +48,8 @@ layouts give the same bytes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from operator import is_
 
 import numpy as np
 
@@ -78,8 +79,10 @@ class Hyperparams:
             raise ValueError(f"lambda_z must be > 0, got {self.lambda_z}")
         if not self.lambda_lasso >= 0:
             raise ValueError(f"lambda_lasso must be >= 0, got {self.lambda_lasso}")
-        if self.d < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(
+                self.d, numbers.Integral) or self.d < 1:
+            raise ValueError(f"embedding dimension must be an integer >= 1, "
+                             f"got {self.d!r}")
 
 
 class Workspace:
@@ -87,9 +90,6 @@ class Workspace:
 
     - Buffers: each is allocated on first use and again only when a later
       call asks for a different shape.
-    - The checked problem: the last call's (X, Y, Z_old) in the form the
-      kernel uses.  A later call with the same array objects, task and
-      embedding width checks only the shapes of B and Z.
     - The stacked embedding ``Z_all``: the frozen rows ``Z_old``, written
       once, over the optimized rows, written per call (for the full
       problem, the optimized rows themselves); its squared row norms
@@ -97,16 +97,15 @@ class Workspace:
       rows'; the k x N distance buffer ``D`` and the view ``D_self`` of its
       self-pairs (i, n_old + i).
 
-    The Workspace keeps the arrays it is given and recognizes them by
-    identity, so they must not change in place while it is in use.  Values
-    returned to the caller are never views of its buffers, so a later call
-    cannot change them.  Not safe to share between threads.
+    The Workspace keeps the frozen rows ``Z_old`` it is given and
+    recognizes them by identity, so they must not change in place while it
+    is in use.  Values returned to the caller are never views of its
+    buffers, so a later call cannot change them.  Not safe to share between
+    threads.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self._given = None  # (task, d, X, Y, Z_old) of the last checked call
-        self._checked = None  # their checked (X, Y, Z_old), (B, Z) shapes
         self._stacked_on = None  # (Z_old or None, Z.shape) of the stacking
         self._Z_new = None  # the optimized rows of Z_all
         self.Z_all = self.sq_all = self.sq = self.D = self.D_self = None
@@ -117,21 +116,6 @@ class Workspace:
         if buf is None or buf.shape != shape:
             buf = self._buffers[name] = np.empty(shape)
         return buf
-
-    def checked(self, task: TaskKind, X, Y, B, Z, d, Z_old):
-        """``_as_problem(task, X, Y, B, Z, d, Z_old)``, checking (X, Y,
-        Z_old) only when they are not the arrays of the last call."""
-        given = (task, d, X, Y, Z_old)
-        if self._given is not None and all(map(is_, given, self._given)):
-            X, Y, Z_old, shapes = self._checked
-            B = np.asarray(B, dtype=float)
-            Z = np.ascontiguousarray(Z, dtype=float)
-            if (B.shape, Z.shape) == shapes:
-                return X, Y, B, Z, Z_old
-        X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, d, Z_old)
-        self._given = given
-        self._checked = X, Y, Z_old, (B.shape, Z.shape)
-        return X, Y, B, Z, Z_old
 
     def stack(self, Z_old: np.ndarray, Z: np.ndarray) -> None:
         """Set ``Z_all``, ``sq_all`` and ``sq`` for the rows ``Z`` after the
@@ -435,12 +419,11 @@ def loss_and_gradients(X, Y, B, Z, hp: Hyperparams, task: TaskKind,
     """Loss value plus analytic gradients (dB, dZ) in one pass.
 
     ``work`` lends the evaluation its buffers and keeps its set-up; pass
-    the same Workspace to every evaluation of a solve, and change none of
-    the arrays it was given in place meanwhile.  The gradients are always
-    fresh arrays.
+    the same Workspace to every evaluation of a solve.  The gradients are
+    always fresh arrays.
     """
     work = Workspace() if work is None else work
-    X, Y, B, Z, Z_old = work.checked(task, X, Y, B, Z, hp.d, None)
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d)
     return _evaluate(X, Y, B, Z, Z_old, hp, task, work, "total loss")
 
 
@@ -455,10 +438,11 @@ def added_loss_and_gradients(X_all, Y_all, Z_old, B_new, Z_new,
     held constant together with their parameters, so a feasible appended
     row can never end up with a larger contribution than the row it
     copies.  Gradients are with respect to the appended (B, Z) only.
-    ``work`` is as in :func:`loss_and_gradients`.
+    ``work`` is as in :func:`loss_and_gradients`; ``Z_old`` must not
+    change in place while it is in use.
     """
     work = Workspace() if work is None else work
-    X_all, Y_all, B_new, Z_new, Z_old = work.checked(
+    X_all, Y_all, B_new, Z_new, Z_old = _as_problem(
         task, X_all, Y_all, B_new, Z_new, hp.d, Z_old)
     return _evaluate(X_all, Y_all, B_new, Z_new, Z_old, hp, task, work,
                      "appended-row loss")
@@ -466,16 +450,15 @@ def added_loss_and_gradients(X_all, Y_all, Z_old, B_new, Z_new,
 
 @_QUIET
 def row_contributions(X, Y, B, Z, hp: Hyperparams, task: TaskKind, *,
-                      Z_old=None, work: Workspace | None = None) -> np.ndarray:
+                      Z_old=None) -> np.ndarray:
     """Per-row share of the total loss: each row's weighted data loss plus
     its own embedding and lasso penalties.
 
     With ``Z_old`` the rows (B, Z) are appended after frozen embedding rows
     ``Z_old``, and (X, Y) hold the items of all rows, old ones first.
     """
-    work = Workspace() if work is None else work
-    X, Y, B, Z, Z_old = work.checked(task, X, Y, B, Z, hp.d, Z_old)
-    S = _forward(X, Y, B, Z, Z_old, task, work)[0]
+    X, Y, B, Z, Z_old = _as_problem(task, X, Y, B, Z, hp.d, Z_old)
+    S = _forward(X, Y, B, Z, Z_old, task, Workspace())[0]
     return S + hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
 

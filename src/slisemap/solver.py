@@ -74,6 +74,10 @@ class SolverConfig:
         if not 0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and > 0, "
                              f"got {self.rel_tol!r}")
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, "
+                             f"got {self.seed!r}")
 
 
 def _check_finite(**arrays):
@@ -82,6 +86,13 @@ def _check_finite(**arrays):
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise DataError(f"{name} has non-finite entries")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``a``, in its memory layout."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _text(key: str, value, many: bool = False):
@@ -121,10 +132,13 @@ class Solution:
     non-finite entries, a normalization std at or below 0 and a
     ``loss_history`` that is empty or increases with a DataError.
 
-    A Solution is read-only after construction: its record and the start
-    base of single adds (3n floats, computed on the first one and kept)
-    describe the arrays it was built with.  Make a changed solution with
-    ``dataclasses.replace``, which starts without that base.
+    A Solution is read-only after construction: it holds read-only copies
+    of X, Y, B and Z, so neither a later write into the arrays it was
+    built from nor one into its own can change it, and its record and the
+    start base of single adds (3n floats, computed on the first one and
+    kept) describe those arrays.  A seed below 0 is a DataError.  Make a
+    changed solution with ``dataclasses.replace``, which starts without
+    that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
     solutions by their ``to_json_dict()`` documents.
@@ -144,8 +158,9 @@ class Solution:
     stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
-        self.X, self.Y, self.B, self.Z, _ = _as_problem(
-            self.task, self.X, self.Y, self.B, self.Z, self.hyperparams.d)
+        self.X, self.Y, self.B, self.Z = map(_read_only, _as_problem(
+            self.task, self.X, self.Y, self.B, self.Z,
+            self.hyperparams.d)[:4])
         m, norm = self.X.shape[1] - 1, self.normalization
         want = (m, self.Y.shape[1], (m,), (m,))
         got = (len(self.column_names), len(self.target_names),
@@ -164,6 +179,8 @@ class Solution:
         if self.stop_reason not in ("", *STOP_REASONS):
             raise DataError(f"stop_reason {self.stop_reason!r} is not one "
                             f"of {', '.join(STOP_REASONS)}")
+        if _number("seed", self.seed, integer=True) < 0:
+            raise DataError(f"seed {self.seed} is negative")
 
     @property
     def n(self) -> int:
@@ -629,4 +646,4 @@ def add_new(sol: Solution, X_new, Y_new,
     B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[rows], sol.Z[rows],
                                      hp, config)
     return B_new, Z_new, row_contributions(Xc, Yc, B_new, Z_new, hp, task,
-                                           Z_old=sol.Z, work=work)
+                                           Z_old=sol.Z)

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line pipeline in temp directories."""
 
-import ast
 import csv
 import hashlib
 import json
@@ -482,6 +481,19 @@ class TestPlot:
                  if t.tag.endswith("text")]
         assert any("cluster 0" in (t or "") for t in texts)
 
+    def test_negative_seed_is_data_error(self, workspace, tmp_path, capsys):
+        """The seed of a solution file seeds the panels' clustering."""
+        _, _, sol_path = workspace
+        bad = tmp_path / "sol.json"
+        bad.write_text(json.dumps({**json.loads(sol_path.read_text()),
+                                   "seed": -1}))
+        rc = main(["plot", "--solution", str(bad), "--out",
+                   str(tmp_path / "p.svg"), "--models-out",
+                   str(tmp_path / "models.svg")])
+        assert rc == 3
+        assert "seed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["sol.json"]
+
 
 class TestExport:
     def test_z_schema(self, workspace, tmp_path):
@@ -699,6 +711,17 @@ class TestNumberFlags:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        argv = (["--n", "10", "--m", "2"] if command == "generate" else
+                ["--data", "d.csv", "--target", "y", "--lambda-z", "0.1"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestBadCsv:
     @pytest.mark.parametrize("argv, text, named", [
@@ -734,6 +757,22 @@ class TestBadCsv:
         _, gen, sol_path = workspace
         data = tmp_path / "d.csv"
         data.write_bytes((gen / "data.csv").read_bytes() + b"\xff,1\n")
+        argv = (["fit", "--target", "y", "--lambda-z", "0.1"]
+                if command == "fit" else ["add", "--solution", str(sol_path)])
+        rc = main(argv + ["--data", str(data), "--out",
+                          str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and str(data) in err
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "add"])
+    def test_cell_beyond_the_csv_field_limit_is_data_error(
+            self, workspace, tmp_path, capsys, command):
+        _, gen, sol_path = workspace
+        data = tmp_path / "d.csv"
+        data.write_text((gen / "data.csv").read_text()
+                        + "1" * (csv.field_size_limit() + 1) + ",1,1,1,1\n")
         argv = (["fit", "--target", "y", "--lambda-z", "0.1"]
                 if command == "fit" else ["add", "--solution", str(sol_path)])
         rc = main(argv + ["--data", str(data), "--out",
@@ -973,22 +1012,30 @@ class TestOutputDigestsTool:
                          "plot.svg", "report.csv", "report.json", "sol.json",
                          "sweep.csv"]
 
-    def test_thread_variables_are_the_packages(self):
-        """The tool sets the BLAS thread variables before numpy loads, so it
-        names them itself; its tuple must be the package's."""
-        assert tool_thread_variables("output_digests.py") == \
-            [slisemap.BLAS_THREAD_VARIABLES]
 
-
-def tool_thread_variables(name):
-    """The values a tool assigns to ``THREAD_VARIABLES``, read from its
-    source, since importing the tool would set the variables."""
-    path = Path(__file__).resolve().parent.parent / "tools" / name
-    tree = ast.parse(path.read_text())
-    return [ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.Assign)
-            and [t.id for t in node.targets
-                 if isinstance(t, ast.Name)] == ["THREAD_VARIABLES"]]
+@pytest.mark.parametrize("tool", ["output_digests", "eval_overhead"])
+def test_tool_runs_blas_on_one_thread(tool):
+    """Imported under other BLAS thread settings, a tool has every one of
+    the package's BLAS thread variables at "1" when numpy is first
+    imported, which is when OpenBLAS reads them."""
+    spy = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append([os.environ.get(v) for v in "
+        f"{slisemap.BLAS_THREAD_VARIABLES!r}])\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"import {tool}\n"
+        "print(seen)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", SLISEMAP_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", spy], env=env,
+                          cwd=Path(__file__).resolve().parent.parent
+                          / "tools", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        str([["1"] * len(slisemap.BLAS_THREAD_VARIABLES)])
 
 
 class TestEvalOverheadTool:
@@ -1004,10 +1051,6 @@ class TestEvalOverheadTool:
             "clf200 full k=150", "clf200 added k=1", "clf200 added k=10",
             "two_loop fit (200 rows)", "two_loop single add (1 row)"]
         assert all(float(us) > 0 for _, us in rows)
-
-    def test_thread_variables_are_the_packages(self):
-        assert tool_thread_variables("eval_overhead.py") == \
-            [slisemap.BLAS_THREAD_VARIABLES]
 
 
 class TestCodeLinesTool:

@@ -56,6 +56,11 @@ class TestGenerateRsynth:
         with pytest.raises(DataError):
             RsynthSpec(n=2, m=3, k_clusters=5)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            RsynthSpec(n=5, m=2, seed=seed)
+
 
 class TestNormalize:
     def test_standardized_input_unchanged(self, rng):

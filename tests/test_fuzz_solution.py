@@ -3,9 +3,10 @@ reads a solution ends with exit code 0, 3 or 4, never a traceback.
 
 A saved n = 30 regression solution has one or more of its top-level keys,
 or the normalization's mean or std, replaced by a value of the wrong kind
-or deleted.  ``metrics``, ``export`` and ``add`` then read the file in
-process through ``cli.main``.  Hypothesis draws the mutations from a fixed
-seed (``derandomize=True``), so every run tries the same files.
+or deleted.  ``metrics``, ``export``, ``add`` and ``plot --models-out``
+then read the file in process through ``cli.main``.  Hypothesis draws the
+mutations from a fixed seed (``derandomize=True``), so every run tries the
+same files.
 """
 
 import contextlib
@@ -99,7 +100,9 @@ def test_commands_exit_cleanly_on_a_corrupt_solution(saved, target, value,
         sol.write_text(json.dumps(mutated(doc, mutations)))
         for argv in (["metrics", "--out", out / "report.json"],
                      ["export", "--out", out / "export.csv"],
-                     ["add", "--data", add, "--out", out / "added.csv"]):
+                     ["add", "--data", add, "--out", out / "added.csv"],
+                     ["plot", "--out", out / "plot.svg",
+                      "--models-out", out / "models.svg"]):
             rc = main([str(a) for a in [argv[0], "--solution", sol,
                                         *argv[1:]]])
             assert rc in (0, 3, 4), (argv[0], mutations, rc)

@@ -51,6 +51,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**{"lambda_z": 0.1, field: math.nan})
 
+    @pytest.mark.parametrize("d", [0, 2.5, True, None])
+    def test_embedding_width_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="embedding dimension"):
+            Hyperparams(lambda_z=0.1, d=d)
+
     def test_defaults(self):
         hp = Hyperparams(lambda_z=0.1)
         assert hp.lambda_lasso == 1e-4
@@ -460,7 +465,7 @@ class TestWorkspaceCache:
                 return loss_and_gradients(X, Y, B, Z, hp, task, work=work)
             if kind == "rows":
                 return (0.0, row_contributions(X, Y, B, Z, hp, task,
-                                               Z_old=Z_old, work=work),
+                                               Z_old=Z_old),
                         np.empty(0))
             return added_loss_and_gradients(X, Y, Z_old, B, Z, hp, task,
                                             work=work)

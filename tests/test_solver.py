@@ -232,6 +232,14 @@ class TestFit:
         with pytest.raises(ValueError, match="rel_tol"):
             SolverConfig(rel_tol=value)
 
+    @pytest.mark.parametrize("value", [-1, True, 2.5, 2.0, None])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        """A boolean seed would be saved as ``true``, which a solution file
+        refuses; a negative or fractional one fails inside numpy."""
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=value)
+        assert SolverConfig(seed=np.int64(3)).seed == 3
+
     def test_covariates_must_be_a_matrix(self):
         with pytest.raises(ShapeError):
             fit(np.ones(5), np.ones(5), Hyperparams(lambda_z=0.1), REG)
@@ -420,6 +428,39 @@ class TestFit:
         assert back.final_loss == sol.final_loss
         back = Solution.from_json_dict({**doc, "numeric_warning": True})
         assert back.stop_reason == "numeric"
+
+    def test_negative_seed_is_data_error(self, small_fit):
+        _, sol = small_fit
+        with pytest.raises(DataError, match="seed"):
+            Solution.from_json_dict({**sol.to_json_dict(), "seed": -1})
+
+    def test_arrays_are_read_only_copies(self):
+        """Neither ``fit`` nor ``Solution(...)`` keeps its input arrays, and
+        a solution's own arrays refuse writes, so the start base a single
+        add keeps always describes them: after the caller edits the X it
+        fitted on, an add gives the bytes of the same add on a fresh copy
+        of the solution."""
+        ds, _ = generate_rsynth(RsynthSpec(n=40, m=3, seed=5))
+        X, Y = ds.X.copy(), ds.Y.copy()
+        config = SolverConfig(seed=5, max_outer_iters=1)
+        sol = fit(X, Y, Hyperparams(lambda_z=0.1), REG, config)
+        B, Z = sol.B.copy(), sol.Z.copy()
+        built = dataclasses.replace(sol, X=X, Y=Y, B=B, Z=Z)
+        for s, given_arrays in ((sol, (X, Y)), (built, (X, Y, B, Z))):
+            for a in given_arrays:
+                assert not any(np.shares_memory(a, getattr(s, name))
+                               for name in "XYBZ")
+            for name in "XYBZ":
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(s, name)[0, 0] = 1.0
+        x, y = ds.X[3:4], ds.Y[3:4]
+        add_new(sol, x, y, config)  # computes and keeps the start base
+        X_before = sol.X.tobytes()
+        X[:, 0] += 1.0
+        assert sol.X.tobytes() == X_before
+        fresh = Solution.from_json_dict(sol.to_json_dict())
+        assert [a.tobytes() for a in add_new(sol, x, y, config)] == \
+            [a.tobytes() for a in add_new(fresh, x, y, config)]
 
     @pytest.mark.parametrize("std", [0.0, -1.0])
     def test_non_positive_std_is_data_error(self, small_fit, std):

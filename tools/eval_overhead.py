@@ -22,27 +22,25 @@ BLAS runs on one thread, as in the benchmark.
 """
 
 import os
+import sys
+from pathlib import Path
 
-# slisemap.BLAS_THREAD_VARIABLES, named again here: the package imports
-# numpy, so reading the tuple from it would set them too late.  A test keeps
-# the two equal.
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
-for _var in THREAD_VARIABLES:
-    os.environ[_var] = "1"
+# One BLAS thread, set by the package itself: importing slisemap copies
+# SLISEMAP_THREADS into those of its BLAS thread variables that are unset,
+# so every such variable is cleared first and slisemap loads before numpy.
+for _var in [v for v in os.environ if v.endswith("_NUM_THREADS")]:
+    del os.environ[_var]
+os.environ["SLISEMAP_THREADS"] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from slisemap import lbfgs, objective, solver  # noqa: E402  (before numpy)
 import argparse  # noqa: E402
 import itertools  # noqa: E402
-import sys  # noqa: E402
 import time  # noqa: E402
 from collections import deque  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from slisemap import lbfgs, objective, solver  # noqa: E402
 from slisemap.data import RsynthSpec, generate_rsynth  # noqa: E402
 from slisemap.model import TaskKind  # noqa: E402
 

@@ -32,30 +32,28 @@ BLAS runs on one thread, since its thread count changes the outputs.
 """
 
 import os
+import sys
+from pathlib import Path
 
-# slisemap.BLAS_THREAD_VARIABLES, named again here: the package imports
-# numpy, so reading the tuple from it would set them too late.  A test keeps
-# the two equal.
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
-for _var in THREAD_VARIABLES:
-    os.environ[_var] = "1"
+# One BLAS thread, set by the package itself: importing slisemap copies
+# SLISEMAP_THREADS into those of its BLAS thread variables that are unset,
+# so every such variable is cleared first and slisemap loads before numpy.
+for _var in [v for v in os.environ if v.endswith("_NUM_THREADS")]:
+    del os.environ[_var]
+os.environ["SLISEMAP_THREADS"] = "1"
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
 
+from slisemap import cli, metrics, solver  # noqa: E402  (before numpy)
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-_ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
-
 import workloads  # noqa: E402
-from slisemap import cli, metrics, solver  # noqa: E402
 from slisemap.data import RsynthSpec, generate_rsynth  # noqa: E402
 from slisemap.model import TaskKind  # noqa: E402
 from slisemap.objective import Hyperparams, local_loss_matrix  # noqa: E402
