@@ -1,8 +1,8 @@
 """Command-line pipeline: generate, fit, add, metrics, sweep, plot, export.
 
 Every run writes a JSON manifest next to its outputs recording the resolved
-parameters, input/output checksums, wall-clock duration, package and numpy
-versions and the thread variables, so any output can be reproduced
+parameters, input/output checksums, wall-clock duration, package, numpy and
+BLAS versions and the thread variables, so any output can be reproduced
 bit-identically from its manifest under the same SLISEMAP_THREADS and
 numpy/BLAS build.  :func:`_files` derives a command's manifest path,
 inputs and outputs from its flags.  Before a command runs, :func:`main`
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import time
@@ -31,7 +30,7 @@ from . import data as datamod
 from . import metrics as metricsmod
 from . import plotting
 from . import solver as solvermod
-from .errors import DataError, NumericError, SlisemapError
+from .errors import DataError, NumericError, SlisemapError, check_number
 from .model import TaskKind
 from .objective import Hyperparams, local_loss_matrix
 
@@ -66,6 +65,16 @@ def _files(args):
     return str(args.out) + ".manifest.json", inputs, outputs
 
 
+def _blas_build():
+    """The name and version of the BLAS that numpy was built with, as numpy
+    reports them, or None where it does not (before numpy 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        return None
+
+
 def _write_manifest(args, started):
     manifest_path, inputs, outputs = _files(args)
     params = {k: v for k, v in vars(args).items() if k != "func"}
@@ -76,31 +85,33 @@ def _write_manifest(args, started):
         "inputs": {str(p): _sha256(p) for _, p in inputs},
         "outputs": {str(p): _sha256(p) for _, p in outputs},
         "duration_seconds": time.perf_counter() - started,
-        "versions": {"slisemap": __version__, "numpy": np.__version__},
+        "versions": {"slisemap": __version__, "numpy": np.__version__,
+                     "blas": _blas_build()},
         "thread_variables": {v: os.environ.get(v) for v in
                              ("SLISEMAP_THREADS", *BLAS_THREAD_VARIABLES)},
     }
     datamod.write_json(manifest_path, doc)
 
 
-def _bounded(name, kind, op, low):
-    """The argparse type ``name``: a finite ``kind`` (int or float) that is
-    ``> low`` (``op`` ">") or ``>= low`` (">="); NaN is neither."""
+def _bounded(name, kind, low, *, strict=False, high=None):
+    """The argparse type ``name``: text read as ``kind`` (int or float)
+    whose value passes :func:`errors.check_number` with ``low``, ``strict``
+    and ``high``.  A value it refuses is a usage error (exit 2); argparse
+    names the flag, so the rule's leading name is dropped."""
     def parse(text):
-        v = kind(text)
-        if not (v > low if op == ">" else v >= low):
-            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
-        if not math.isfinite(v):
-            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        return v
+        return check_number(name, kind(text), low=low, strict=strict,
+                            high=high, integer=kind is int,
+                            error=lambda message: argparse.ArgumentTypeError(
+                                message.partition(" ")[2]))
     parse.__name__ = name  # argparse names it in "invalid ... value"
     return parse
 
 
-_positive_float = _bounded("_positive_float", float, ">", 0)
-_nonneg_float = _bounded("_nonneg_float", float, ">=", 0)
-_positive_int = _bounded("_positive_int", int, ">=", 1)
-_nonneg_int = _bounded("_nonneg_int", int, ">=", 0)
+_positive_float = _bounded("_positive_float", float, 0, strict=True)
+_nonneg_float = _bounded("_nonneg_float", float, 0)
+_positive_int = _bounded("_positive_int", int, 1)
+_nonneg_int = _bounded("_nonneg_int", int, 0)
+_quantile = _bounded("_quantile", float, 0, high=1)
 
 
 def _load_for_fit(args):
@@ -217,7 +228,6 @@ def _report_csv(out) -> Path:
 
 
 def cmd_sweep(args):
-    metricsmod.check_quantile(args.quantile)
     full, task = _load_for_fit(args)
     rows = []
     for idx, lz in enumerate(args.lambda_z):
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, action="append",
                    help="neighbourhood size; repeatable (default 25)")
     p.add_argument("--labels", default=None, help="labels CSV for purity")
-    p.add_argument("--quantile", type=_nonneg_float, default=0.3)
+    p.add_argument("--quantile", type=_quantile, default=0.3)
     p.add_argument("--out", required=True, help="report JSON path "
                                                 "(CSV written alongside)")
     p.set_defaults(func=cmd_metrics)
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid value; repeatable")
     p.add_argument("--k", type=_positive_int, action="append",
                    help="neighbourhood size; repeatable")
-    p.add_argument("--quantile", type=_nonneg_float, default=0.3,
+    p.add_argument("--quantile", type=_quantile, default=0.3,
                    help="loss quantile of the global model for coverage")
     p.add_argument("--out", required=True, help="long-format CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -13,12 +13,11 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, check_fields
 from .model import BINARY_LOGIT, CLASSIFICATION, REGRESSION, TaskKind, \
     logit_transform
 
@@ -33,7 +32,13 @@ class Normalization:
 
 @dataclass(frozen=True)
 class RsynthSpec:
-    """Parameters of the synthetic clustered regression generator."""
+    """Parameters of the synthetic clustered regression generator.
+
+    Each field passes :func:`errors.check_number` on construction, which
+    raises a DataError naming it, and is stored as a Python int or float:
+    ``n``, ``m`` and ``k_clusters`` are integers >= 1 with ``n >=
+    k_clusters``, the two spreads finite numbers >= 0, and ``seed`` an
+    integer >= 0."""
 
     n: int
     m: int
@@ -43,16 +48,14 @@ class RsynthSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.n >= self.k_clusters >= 1:
+        size = {"low": 1, "integer": True}
+        check_fields(self, DataError, n=size, m=size, k_clusters=size,
+                     cluster_std={"low": 0}, noise_std={"low": 0},
+                     seed={"low": 0, "integer": True})
+        if self.n < self.k_clusters:
             raise DataError(
-                f"need n >= k_clusters >= 1, got n={self.n}, "
+                f"need n >= k_clusters, got n={self.n}, "
                 f"k_clusters={self.k_clusters}")
-        if self.cluster_std < 0 or self.noise_std < 0:
-            raise DataError("standard deviations must be nonnegative")
-        if isinstance(self.seed, bool) or not isinstance(
-                self.seed, Integral) or self.seed < 0:
-            raise DataError(f"seed must be an integer >= 0, got "
-                            f"{self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lbfgs, objective
 from .data import write_csv, write_json
-from .errors import ShapeError, SlisemapError
+from .errors import ShapeError, SlisemapError, check_number
 from .model import TaskKind
 from .objective import local_loss_matrix, pairwise_distances, \
     uniform_loss_and_grad
@@ -88,18 +88,14 @@ def fit_global_model(X, Y, task: TaskKind, *, lambda_lasso: float = 1e-4,
 
 def loss_threshold(global_losses, q: float = 0.3) -> float:
     """Empirical quantile of a loss sample, interpolating linearly between
-    the closest order statistics."""
+    the closest order statistics; ``q`` must pass
+    :func:`errors.check_number` as a number in [0, 1] (a SlisemapError
+    otherwise)."""
     losses = np.asarray(global_losses, dtype=float)
     if losses.size == 0:
         raise SlisemapError("loss_threshold needs a nonempty loss vector")
-    check_quantile(q)
+    q = check_number("quantile", q, low=0, high=1, error=SlisemapError)
     return float(np.quantile(losses, q))
-
-
-def check_quantile(q: float) -> None:
-    """Raise a SlisemapError unless ``q`` is a quantile in [0, 1]."""
-    if not 0 <= q <= 1:
-        raise SlisemapError(f"quantile must be in [0, 1], got {q}")
 
 
 def check_k(k: int, n: int) -> None:

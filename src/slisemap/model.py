@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields
 
 # Probabilities are clamped to [LOGIT_EPS, 1 - LOGIT_EPS] before the logit
 # transform; black boxes routinely emit exact 0/1 and the transform must
@@ -35,7 +35,8 @@ class TaskKind:
 
     ``kind`` is one of ``"regression"``, ``"classification"`` or
     ``"binary-logit"``; ``n_classes`` is only meaningful for
-    classification and must be >= 2 there.
+    classification, where it must pass :func:`errors.check_number` as an
+    integer >= 2 (a DataError otherwise) and is stored as a Python int.
     """
 
     kind: str
@@ -44,11 +45,10 @@ class TaskKind:
     def __post_init__(self):
         if self.kind not in (REGRESSION, CLASSIFICATION, BINARY_LOGIT):
             raise DataError(f"unknown task kind {self.kind!r}")
-        if self.kind == CLASSIFICATION and self.n_classes < 2:
-            raise DataError(
-                f"classification needs at least 2 classes, got {self.n_classes}"
-            )
-        if self.kind != CLASSIFICATION and self.n_classes != 0:
+        if self.kind == CLASSIFICATION:
+            check_fields(self, DataError,
+                         n_classes={"low": 2, "integer": True})
+        elif self.n_classes != 0:
             raise DataError(f"{self.kind} does not take a class count")
 
     @classmethod
@@ -85,11 +85,13 @@ class TaskKind:
 
     @classmethod
     def from_string(cls, s: str) -> "TaskKind":
+        """The task :meth:`to_string` writes as ``s``, which must be a
+        string (a DataError otherwise)."""
+        if not isinstance(s, str):
+            raise DataError(f"'task' must be a string, got {s!r}")
         if s.startswith(CLASSIFICATION + ":"):
             return cls.classification(int(s.split(":", 1)[1]))
-        if s == CLASSIFICATION:
-            raise DataError("classification task string must carry a class count")
-        return cls(s)
+        return cls(s)  # a bare "classification" has no class count
 
 
 def logit_transform(y1):

@@ -48,12 +48,11 @@ layouts give the same bytes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, check_fields
 from .model import TaskKind
 
 # Smoothing inside the distance derivative only; keeps the gradient finite
@@ -68,21 +67,22 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Loss constants: embedding penalty, lasso penalty, embedding width."""
+    """Loss constants: embedding penalty, lasso penalty, embedding width.
+
+    Each passes :func:`errors.check_number` on construction, which raises
+    a ValueError naming it, and is stored as a Python float or int:
+    ``lambda_z`` a finite number > 0, ``lambda_lasso`` a finite number
+    >= 0, and ``d`` an integer >= 1, not a boolean."""
 
     lambda_z: float
     lambda_lasso: float = 1e-4
     d: int = 2
 
     def __post_init__(self):
-        if not self.lambda_z > 0:
-            raise ValueError(f"lambda_z must be > 0, got {self.lambda_z}")
-        if not self.lambda_lasso >= 0:
-            raise ValueError(f"lambda_lasso must be >= 0, got {self.lambda_lasso}")
-        if isinstance(self.d, bool) or not isinstance(
-                self.d, numbers.Integral) or self.d < 1:
-            raise ValueError(f"embedding dimension must be an integer >= 1, "
-                             f"got {self.d!r}")
+        check_fields(self, lambda_z={"low": 0, "strict": True},
+                     lambda_lasso={"low": 0})
+        check_fields(self, lambda m: ValueError("embedding dimension " + m),
+                     d={"low": 1, "integer": True})
 
 
 class Workspace:

@@ -2,10 +2,14 @@
 
 SVG is written by hand: no plotting dependency, byte-deterministic output
 for a fixed input, and easy to assert on in tests (one ``<circle>`` per
-data item).
+data item).  Every piece of text taken from the caller (titles, legend
+entries, category values, coefficient names) passes through one XML
+escape, so names like ``a<b`` or ``x&y`` keep the file well-formed.
 """
 
 from __future__ import annotations
+
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -115,7 +119,8 @@ def scatter_svg(Z: np.ndarray, color_values=None, *, categorical: bool = False,
     ]
     if title:
         parts.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
+                     f'font-family="sans-serif" font-size="14">'
+                     f'{escape(title)}</text>')
     parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="11">z1 [{x0:.3g}, {x1:.3g}]</text>')
@@ -131,7 +136,8 @@ def scatter_svg(Z: np.ndarray, color_values=None, *, categorical: bool = False,
         parts.append(f'<rect x="{WIDTH - MARGIN - 130}" y="{ly - 9}" '
                      f'width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{WIDTH - MARGIN - 116}" y="{ly}" '
-                     f'font-family="sans-serif" font-size="11">{text}</text>')
+                     f'font-family="sans-serif" font-size="11">'
+                     f'{escape(text)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -176,6 +182,7 @@ def model_panels_svg(centroids: np.ndarray, counts, coef_names) -> str:
             parts.append(f'<rect x="{_f(x)}" y="{_f(y)}" '
                          f'width="{_f(max(bar_w - 2, 1))}" height="{_f(h)}" '
                          f'fill="{PALETTE[j % len(PALETTE)]}">'
-                         f'<title>{coef_names[c]}: {v:.4g}</title></rect>')
+                         f'<title>{escape(coef_names[c])}: {v:.4g}'
+                         f'</title></rect>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import lbfgs
 from .data import Normalization, write_json
-from .errors import DataError, NumericError, ShapeError, SlisemapError
+from .errors import (DataError, NumericError, ShapeError, SlisemapError,
+                     check_fields, check_number)
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
                         _as_problem, _forward, added_loss_and_gradients,
@@ -58,7 +58,12 @@ _SINGLE_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the fit loop and the inner quasi-Newton solver."""
+    """Knobs of the fit loop and the inner quasi-Newton solver.
+
+    Each field passes :func:`errors.check_number` on construction, which
+    raises a ValueError naming it, and is stored as a Python int or float:
+    the counts and the seed are integers, not booleans, and ``rel_tol`` is
+    a finite number > 0."""
 
     max_outer_iters: int = 100  # escape rounds after the first solve; 0: none
     lbfgs_max_iters: int = 500
@@ -66,18 +71,10 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name, low in (("max_outer_iters", 0), ("lbfgs_max_iters", 1)):
-            v = getattr(self, name)
-            if not (v >= low and v % 1 == 0):
-                raise ValueError(f"{name} must be an integer >= {low}, "
-                                 f"got {v!r}")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, "
-                             f"got {self.rel_tol!r}")
-        if isinstance(self.seed, bool) or not isinstance(
-                self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, "
-                             f"got {self.seed!r}")
+        count = {"low": 0, "integer": True}
+        check_fields(self, max_outer_iters=count, seed=count,
+                     lbfgs_max_iters={"low": 1, "integer": True},
+                     rel_tol={"low": 0, "strict": True})
 
 
 def _check_finite(**arrays):
@@ -95,29 +92,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _text(key: str, value, many: bool = False):
-    """``value`` of the solution key ``key`` when it is a string, or with
-    ``many`` a list of strings; otherwise a DataError naming the key."""
-    if many:
-        ok = isinstance(value, list) and all(isinstance(v, str)
-                                             for v in value)
-    else:
-        ok = isinstance(value, str)
-    if not ok:
-        want = "a list of strings" if many else "a string"
-        raise DataError(f"solution key {key!r} is not {want}")
-    return value
-
-
-def _number(key: str, value, integer: bool = False):
-    """``value`` of the solution key ``key`` when it is a number, or with
-    ``integer`` an integer, and not a boolean; otherwise a DataError naming
-    the key."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integer else numbers.Real):
-        want = "an integer" if integer else "a number"
-        raise DataError(f"solution key {key!r} is not {want}")
-    return value
+def _check_names(**names):
+    """Raise a DataError naming the first of ``names`` that is not a list
+    of strings."""
+    for key, value in names.items():
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise DataError(f"{key!r} is not a list of strings")
 
 
 @dataclass(eq=False)
@@ -128,17 +109,20 @@ class Solution:
     ran on; ``Y`` is the response matrix on the training scale (logit scale
     for the binary-logit task).  ``normalization`` maps raw features into
     X's basis (``data.apply_normalization``).  Construction checks every
-    length and shape against (X, Y), raising a ShapeError, and rejects
-    non-finite entries, a normalization std at or below 0 and a
-    ``loss_history`` that is empty or increases with a DataError.
+    length and shape against (X, Y), raising a ShapeError.  It raises a
+    DataError for non-finite entries, a normalization std at or below 0, a
+    ``loss_history`` that is empty or increases, ``column_names`` or
+    ``target_names`` that are not lists of strings, and a ``seed`` that
+    fails :func:`errors.check_number` as an integer >= 0.  It stores the
+    seed as a Python int and the history as Python floats, so every
+    Solution that can be built saves a file that loads.
 
     A Solution is read-only after construction: it holds read-only copies
     of X, Y, B and Z, so neither a later write into the arrays it was
     built from nor one into its own can change it, and its record and the
     start base of single adds (3n floats, computed on the first one and
-    kept) describe those arrays.  A seed below 0 is a DataError.  Make a
-    changed solution with ``dataclasses.replace``, which starts without
-    that base.
+    kept) describe those arrays.  Make a changed solution with
+    ``dataclasses.replace``, which starts without that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
     solutions by their ``to_json_dict()`` documents.
@@ -158,6 +142,17 @@ class Solution:
     stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
+        self.seed = check_number("seed", self.seed, low=0, integer=True,
+                                 error=DataError)
+        _check_names(column_names=self.column_names,
+                     target_names=self.target_names)
+        self.loss_history = h = [float(v) for v in self.loss_history]
+        if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
+            raise DataError("loss_history is empty, non-finite or "
+                            "increasing")
+        if self.stop_reason not in ("", *STOP_REASONS):
+            raise DataError(f"stop_reason {self.stop_reason!r} is not one "
+                            f"of {', '.join(STOP_REASONS)}")
         self.X, self.Y, self.B, self.Z = map(_read_only, _as_problem(
             self.task, self.X, self.Y, self.B, self.Z,
             self.hyperparams.d)[:4])
@@ -172,15 +167,6 @@ class Solution:
                       normalization=(norm.mean, norm.std))
         if not (norm.std > 0.0).all():
             raise DataError("normalization std has entries <= 0")
-        h = self.loss_history
-        if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
-            raise DataError("loss_history is empty, non-finite or "
-                            "increasing")
-        if self.stop_reason not in ("", *STOP_REASONS):
-            raise DataError(f"stop_reason {self.stop_reason!r} is not one "
-                            f"of {', '.join(STOP_REASONS)}")
-        if _number("seed", self.seed, integer=True) < 0:
-            raise DataError(f"seed {self.seed} is negative")
 
     @property
     def n(self) -> int:
@@ -246,41 +232,36 @@ class Solution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Solution":
-        """The solution a :meth:`to_json_dict` document describes; a
-        missing key or a malformed value raises a DataError naming it, and
-        mismatched arrays a ShapeError.  ``task`` must be a string,
-        ``column_names`` and ``target_names`` lists of strings, ``seed`` and
-        ``d`` integers and ``lambda_z`` and ``lambda_lasso`` numbers, none
-        of them a boolean.  A file written before ``loss_history`` was
-        saved has ``[final_loss]`` as its history, one before
-        ``stop_reason`` "numeric" if ``numeric_warning`` else "".
-        Each derived key (``n``, ``m``, ``d``, ``p``, ``final_loss``,
-        ``outer_iters_used``, ``numeric_warning``) the document holds must
-        equal what :meth:`to_json_dict` writes for the solution, booleans
-        included, or it is a DataError naming the key; a file without
-        ``loss_history`` keeps its ``outer_iters_used``.  The check reads
-        them from ``_derived_keys``, which the writer uses too, and does
-        not serialize the arrays."""
+        """The solution a :meth:`to_json_dict` document describes: each key
+        goes to the constructor that checks it (``Hyperparams``,
+        ``TaskKind.from_string`` and this class), so a document loads
+        exactly when that solution can be built.  A missing key or a value
+        those refuse raises a DataError naming it, and mismatched arrays a
+        ShapeError.  A file written before ``loss_history`` was saved has
+        ``[final_loss]`` as its history, one before ``stop_reason``
+        "numeric" if ``numeric_warning`` else "".  Each derived key (``n``,
+        ``m``, ``d``, ``p``, ``final_loss``, ``outer_iters_used``,
+        ``numeric_warning``) the document holds must equal what
+        :meth:`to_json_dict` writes for the solution, booleans included, or
+        it is a DataError naming the key; a file without ``loss_history``
+        keeps its ``outer_iters_used``.  The check reads them from
+        ``_derived_keys``, which the writer uses too, and does not
+        serialize the arrays."""
         try:
             legacy = "loss_history" not in doc
-            hp = Hyperparams(
-                lambda_z=_number("lambda_z", doc["lambda_z"]),
-                lambda_lasso=_number("lambda_lasso", doc["lambda_lasso"]),
-                d=int(_number("d", doc["d"], integer=True)))
             sol = cls(
                 X=doc["X"], Y=doc["Y"], B=doc["B"], Z=doc["Z"],
-                hyperparams=hp,
-                task=TaskKind.from_string(_text("task", doc["task"])),
-                loss_history=[float(v) for v in (
-                    [doc["final_loss"]] if legacy else doc["loss_history"])],
-                seed=int(_number("seed", doc["seed"], integer=True)),
-                column_names=list(_text("column_names",
-                                        doc["column_names"], many=True)),
+                hyperparams=Hyperparams(lambda_z=doc["lambda_z"],
+                                        lambda_lasso=doc["lambda_lasso"],
+                                        d=doc["d"]),
+                task=TaskKind.from_string(doc["task"]),
+                loss_history=([doc["final_loss"]] if legacy
+                              else doc["loss_history"]),
+                seed=doc["seed"], column_names=doc["column_names"],
                 normalization=Normalization(
                     mean=np.asarray(doc["normalization"]["mean"], dtype=float),
                     std=np.asarray(doc["normalization"]["std"], dtype=float)),
-                target_names=list(_text("target_names", doc.get(
-                    "target_names", ["y"]), many=True)),
+                target_names=doc.get("target_names", ["y"]),
                 stop_reason=doc.get("stop_reason", "numeric" if doc.get(
                     "numeric_warning") else ""),
             )
@@ -434,7 +415,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
-    when fitting plain matrices.
+    when fitting plain matrices.  Names that are not strings are a
+    DataError, raised before the first solve.
     """
     X, Y, _, _, _ = _as_problem(task, X, Y)
     _check_finite(X=X, Y=Y)
@@ -449,6 +431,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     if normalization is None:
         normalization = Normalization(mean=np.zeros(n_cols - 1),
                                       std=np.ones(n_cols - 1))
+    column_names, target_names = list(column_names), list(target_names)
+    _check_names(column_names=column_names, target_names=target_names)
 
     B, Z = init(X, Y, hp, task, config.seed)
     work = Workspace()
@@ -503,8 +487,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     return Solution(
         X=X, Y=Y, B=best_B, Z=best_Z, hyperparams=hp, task=task,
         loss_history=history, seed=config.seed,
-        column_names=list(column_names), normalization=normalization,
-        target_names=list(target_names), stop_reason=stop_reason)
+        column_names=column_names, normalization=normalization,
+        target_names=target_names, stop_reason=stop_reason)
 
 
 @_QUIET

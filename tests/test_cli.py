@@ -262,12 +262,13 @@ class TestMetrics:
                   "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
 
-    def test_quantile_above_one_is_data_error(self, workspace, tmp_path,
-                                              capsys):
+    def test_quantile_above_one_is_usage_error(self, workspace, tmp_path,
+                                               capsys):
         _, _, sol_path = workspace
-        rc = main(["metrics", "--solution", str(sol_path), "--quantile", "2",
-                   "--out", str(tmp_path / "r.json")])
-        assert rc == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--solution", str(sol_path), "--quantile", "2",
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
         assert "quantile" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt, named", [
@@ -384,13 +385,14 @@ class TestSweep:
         seeds = {r[-1] for r in rows[1:]}
         assert seeds == {"2", "3"}  # seed + grid index
 
-    def test_quantile_above_one_is_data_error(self, workspace, tmp_path,
-                                              capsys):
+    def test_quantile_above_one_is_usage_error(self, workspace, tmp_path,
+                                               capsys):
         _, gen, _ = workspace
-        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
-                   "--lambda-z", "0.1", "--k", "5", "--quantile", "2",
-                   "--out", str(tmp_path / "sweep.csv")])
-        assert rc == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                  "--lambda-z", "0.1", "--k", "5", "--quantile", "2",
+                  "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
         assert "quantile" in capsys.readouterr().err
 
     def test_quantile_checked_before_any_fit(self, workspace, tmp_path,
@@ -401,10 +403,11 @@ class TestSweep:
             raise AssertionError("sweep fitted before checking --quantile")
 
         monkeypatch.setattr(solver, "fit", no_fit)
-        rc = main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
-                   "--lambda-z", "0.1", "--quantile", "2",
-                   "--out", str(tmp_path / "sweep.csv")])
-        assert rc == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", str(gen / "data.csv"), "--target", "y",
+                  "--lambda-z", "0.1", "--quantile", "2",
+                  "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
 
     def test_k_checked_before_any_fit(self, workspace, tmp_path, monkeypatch,
                                       capsys):
@@ -480,6 +483,28 @@ class TestPlot:
         texts = [t.text for t in tree.getroot().iter()
                  if t.tag.endswith("text")]
         assert any("cluster 0" in (t or "") for t in texts)
+
+    def test_names_with_markup_characters_give_well_formed_svg(
+            self, tmp_path):
+        """Column names are escaped wherever they enter the SVG text: the
+        scatter's title and legend and the panels' ``<title>``s."""
+        rng = np.random.default_rng(3)
+        data_csv = tmp_path / "d.csv"
+        rows = ["a<b,x&y,y"] + [",".join(repr(float(v)) for v in row)
+                                for row in rng.standard_normal((20, 3))]
+        data_csv.write_text("\n".join(rows) + "\n")
+        sol, out, panels = (tmp_path / "s.json", tmp_path / "p.svg",
+                            tmp_path / "m.svg")
+        assert main(["fit", "--data", str(data_csv), "--target", "y",
+                     "--lambda-z", "0.1", "--max-outer-iters", "1",
+                     "--out", str(sol)]) == 0
+        assert main(["plot", "--solution", str(sol), "--color-by",
+                     "coefficient:a<b", "--out", str(out),
+                     "--models-out", str(panels)]) == 0
+        texts = ["".join(ET.parse(path).getroot().itertext())
+                 for path in (out, panels)]
+        assert "embedding by coefficient a<b" in texts[0]
+        assert "x&y" in texts[1]
 
     def test_negative_seed_is_data_error(self, workspace, tmp_path, capsys):
         """The seed of a solution file seeds the panels' clustering."""
@@ -615,8 +640,13 @@ class TestManifest:
         assert main(["export", "--solution", str(sol_path),
                      "--out", str(out)]) == 0
         doc = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        # the BLAS name and version as numpy reports them (numpy >= 1.26)
+        blas = None
+        if np.lib.NumpyVersion(np.__version__) >= "1.26.0":
+            report = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            blas = {"name": report["name"], "version": report["version"]}
         assert doc["versions"] == {"slisemap": slisemap.__version__,
-                                   "numpy": np.__version__}
+                                   "numpy": np.__version__, "blas": blas}
         assert doc["thread_variables"] == {
             "SLISEMAP_THREADS": "1", "OPENBLAS_NUM_THREADS": None,
             "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
@@ -699,10 +729,17 @@ class TestNumberFlags:
         (["--lambda-lasso", "inf"], "must be finite, got inf"),
         (["--rel-tol", "inf"], "must be finite, got inf"),
         (["--rel-tol", "0"], "must be > 0, got 0"),
+        (["--quantile", "1.5"], "must be in [0, 1], got 1.5"),
+        (["--quantile", "-0.1"], "must be in [0, 1], got -0.1"),
+        (["--quantile", "nan"], "must be in [0, 1], got nan"),
+        (["--quantile", "inf"], "must be in [0, 1], got inf"),
+        (["--quantile", "x"], "invalid _quantile value: 'x'"),
     ])
     def test_out_of_range_is_usage_error(self, argv, message, tmp_path,
                                          capsys):
-        base = ["fit", "--data", "d.csv", "--target", "y",
+        """On ``fit``, or on ``sweep`` for ``--quantile``."""
+        command = "sweep" if argv[0] == "--quantile" else "fit"
+        base = [command, "--data", "d.csv", "--target", "y",
                 "--out", str(tmp_path / "s.json")]
         if argv[0] != "--lambda-z":
             base += ["--lambda-z", "0.1"]
@@ -811,6 +848,28 @@ class TestSolutionNames:
         _, gen, sol_path = workspace
         bad = tmp_path / "sol.json"
         bad.write_text(json.dumps(corrupt(json.loads(sol_path.read_text()))))
+        argv = [command, "--solution", str(bad), "--out",
+                str(tmp_path / "out")]
+        if command == "add":
+            argv += ["--data", str(gen / "data.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and repr(key) in err
+
+
+class TestSolutionSettings:
+    @pytest.mark.parametrize("command", ["metrics", "export", "add"])
+    @pytest.mark.parametrize("key", ["lambda_z", "lambda_lasso"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_penalty_is_data_error(self, workspace, tmp_path,
+                                            capsys, command, key, value):
+        """A penalty saved as ``Infinity`` fails to load, naming its key, in
+        every command that reads the file: it goes through the same rule
+        as ``Hyperparams``."""
+        _, gen, sol_path = workspace
+        bad = tmp_path / "sol.json"
+        bad.write_text(json.dumps({**json.loads(sol_path.read_text()),
+                                   key: value}))
         argv = [command, "--solution", str(bad), "--out",
                 str(tmp_path / "out")]
         if command == "add":

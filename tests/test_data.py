@@ -1,6 +1,8 @@
 """Tests for the synthetic generator, normalization, CSV handling and
 subsampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,15 @@ class TestGenerateRsynth:
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(DataError, match="seed"):
             RsynthSpec(n=5, m=2, seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cluster_std", math.nan), ("noise_std", math.inf), ("n", 10.0),
+        ("m", True), ("k_clusters", 2.0)])
+    def test_invalid_number_is_refused_at_construction(self, field, value):
+        """A spread must be a finite number >= 0 and a size an integer, not
+        a boolean, or the generator would emit non-finite data or fail."""
+        with pytest.raises(DataError, match=field):
+            RsynthSpec(**{"n": 10, "m": 2, field: value})
 
 
 class TestNormalize:

@@ -1,12 +1,14 @@
-"""Corrupt solution files through the command line: every command that
-reads a solution ends with exit code 0, 3 or 4, never a traceback.
+"""Solution files under hypothesis: every Solution that can be built saves
+a file that loads back to the same document, and corrupt files through the
+command line end every command that reads them with exit code 0, 3 or 4,
+never a traceback.
 
 A saved n = 30 regression solution has one or more of its top-level keys,
 or the normalization's mean or std, replaced by a value of the wrong kind
 or deleted.  ``metrics``, ``export``, ``add`` and ``plot --models-out``
 then read the file in process through ``cli.main``.  Hypothesis draws the
-mutations from a fixed seed (``derandomize=True``), so every run tries the
-same files.
+mutations, and the solutions of the round trip, from a fixed seed
+(``derandomize=True``), so every run tries the same files.
 """
 
 import contextlib
@@ -15,16 +17,64 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slisemap.cli import main
+from slisemap.data import Normalization
+from slisemap.model import TaskKind
+from slisemap.objective import Hyperparams
+from slisemap.solver import STOP_REASONS, Solution
 
 N = 30
 DELETE = object()  # the mutation that removes the key
 VALUES = (None, "x", [], {}, 1e308, -1, 0, True, [[1, 2]], float("nan"),
-          [["a"]], [[None]], 2.5, 1e30)
+          [["a"]], [[None]], 2.5, 1e30, float("inf"), float("-inf"))
+# Names with markup characters and text beyond ASCII.
+NAMES = st.text(st.sampled_from("ab <&\"'éΩ中\U0001f600"), max_size=5)
+
+
+@st.composite
+def solutions(draw):
+    """A small Solution whose settings are Python or numpy scalars: the
+    seed, ``d`` and class count of one integer type, the penalties and
+    loss history of one float type."""
+    as_int = draw(st.sampled_from((int, np.int32, np.int64)))
+    as_float = draw(st.sampled_from((float, np.float32, np.float64)))
+    kind = draw(st.sampled_from(("regression", "binary-logit",
+                                 "classification")))
+    task = (TaskKind.classification(as_int(draw(st.integers(2, 4))))
+            if kind == "classification" else TaskKind(kind))
+    n, m, d = (draw(st.integers(lo, 4)) for lo in (2, 1, 1))
+    p = task.response_dim()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    history = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3))
+    return Solution(
+        X=np.hstack([rng.standard_normal((n, m)), np.ones((n, 1))]),
+        Y=rng.random((n, p)), B=rng.standard_normal((n, task.coef_len(m + 1))),
+        Z=rng.standard_normal((n, d)),
+        hyperparams=Hyperparams(
+            lambda_z=as_float(draw(st.floats(1e-3, 10.0))),
+            lambda_lasso=as_float(draw(st.floats(0.0, 1.0))), d=as_int(d)),
+        task=task,
+        loss_history=[as_float(v) for v in sorted(history, reverse=True)],
+        seed=as_int(draw(st.integers(0, 2**31 - 1))),
+        column_names=draw(st.lists(NAMES, min_size=m, max_size=m)),
+        normalization=Normalization(mean=rng.standard_normal(m),
+                                    std=rng.random(m) + 0.5),
+        target_names=draw(st.lists(NAMES, min_size=p, max_size=p)),
+        stop_reason=draw(st.sampled_from(("", *STOP_REASONS))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sol=solutions())
+def test_every_solution_that_builds_saves_a_file_that_loads(sol):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sol.json"
+        sol.save(path)
+        assert Solution.load(path).to_json_dict() == sol.to_json_dict()
 
 
 @pytest.fixture(scope="module")

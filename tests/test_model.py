@@ -23,6 +23,21 @@ class TestTaskKind:
         with pytest.raises(DataError):
             TaskKind.classification(1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_class_count_must_be_an_integer(self, count):
+        """``classification:2.5`` would not load, so it is not built."""
+        with pytest.raises(DataError, match="n_classes"):
+            TaskKind.classification(count)
+
+    def test_numpy_class_count_is_stored_as_int(self):
+        task = TaskKind.classification(np.int32(3))
+        assert type(task.n_classes) is int
+        assert TaskKind.from_string(task.to_string()) == task
+
+    def test_task_string_must_be_a_string(self):
+        with pytest.raises(DataError, match="'task'"):
+            TaskKind.from_string(3)
+
     def test_string_round_trip(self):
         for t in (TaskKind.regression(), TaskKind.classification(3),
                   TaskKind.binary_logit()):

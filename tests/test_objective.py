@@ -51,6 +51,22 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**{"lambda_z": 0.1, field: math.nan})
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("lambda_z", {"lambda_z": math.inf}),
+        ("lambda_lasso", {"lambda_z": 0.1, "lambda_lasso": math.inf}),
+        ("lambda_z", {"lambda_z": True}),
+    ], ids=["infinite-lambda-z", "infinite-lambda-lasso", "boolean-lambda-z"])
+    def test_rejects_infinite_and_boolean_penalties(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        hp = Hyperparams(lambda_z=np.float32(0.5), lambda_lasso=np.float64(0),
+                         d=np.int32(3))
+        assert (type(hp.lambda_z), type(hp.lambda_lasso), type(hp.d)) == \
+            (float, float, int)
+        assert (hp.lambda_z, hp.lambda_lasso, hp.d) == (0.5, 0.0, 3)
+
     @pytest.mark.parametrize("d", [0, 2.5, True, None])
     def test_embedding_width_must_be_a_positive_integer(self, d):
         with pytest.raises(ValueError, match="embedding dimension"):

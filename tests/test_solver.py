@@ -485,6 +485,46 @@ class TestFit:
         assert doc["numeric_warning"] is False
 
 
+class TestSettings:
+    """Every numeric setting passes one rule where it is built, and every
+    Solution that can be built saves a file that loads."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer_iters", True), ("lbfgs_max_iters", 1000.0),
+        ("rel_tol", True)])
+    def test_config_refuses_booleans_and_float_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("hp, seed", [
+        (Hyperparams(lambda_z=0.1), np.int64(1)),
+        (Hyperparams(lambda_z=np.float32(0.1)), 1),
+        (Hyperparams(lambda_z=0.1, d=np.int64(2)), 1),
+    ], ids=["int64-seed", "float32-lambda-z", "int64-d"])
+    def test_numpy_scalar_settings_save_and_reload(self, tmp_path, hp, seed):
+        ds, _ = generate_rsynth(RsynthSpec(n=12, m=2, seed=1))
+        sol = fit(ds.X, ds.Y, hp, REG,
+                  SolverConfig(seed=seed, max_outer_iters=1))
+        assert type(sol.seed) is int and type(sol.hyperparams.d) is int
+        assert type(sol.hyperparams.lambda_z) is float
+        sol.save(tmp_path / "s.json")
+        back = Solution.load(tmp_path / "s.json")
+        assert back.to_json_dict() == sol.to_json_dict()
+
+    @pytest.mark.parametrize("key, names", [("column_names", [1, 2]),
+                                            ("target_names", [None])])
+    def test_non_string_names_are_refused_before_the_first_solve(
+            self, monkeypatch, key, names):
+        ds, _ = generate_rsynth(RsynthSpec(n=12, m=2, seed=1))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(lbfgs, "minimize", no_solve)
+        with pytest.raises(DataError, match=key):
+            fit(ds.X, ds.Y, Hyperparams(lambda_z=0.1), REG, **{key: names})
+
+
 class TestAddNew:
     def test_readding_training_rows_is_feasible(self, small_fit):
         _, sol = small_fit
