@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_fields
+from .errors import DataError, ShapeError, check_fields, check_number
 from .model import BINARY_LOGIT, CLASSIFICATION, REGRESSION, TaskKind, \
     logit_transform
 
@@ -344,10 +344,11 @@ def subsample(ds: Dataset, n0: int, seed: int) -> Dataset:
 
     Row order is preserved (indices are sorted) and the normalization is
     recomputed on the retained rows.  ``n0 >= n`` returns an equivalent
-    dataset unchanged in content.
+    dataset unchanged in content.  ``n0`` must pass
+    :func:`errors.check_number` as an integer >= 1, or it is a DataError.
     """
-    if n0 < 1:
-        raise DataError(f"subsample size must be >= 1, got {n0}")
+    n0 = check_number("subsample size", n0, low=1, integer=True,
+                      error=DataError)
     if n0 >= ds.n:
         return ds
     rng = np.random.default_rng(seed)

@@ -45,7 +45,8 @@ def check_number(name, value, *, low, strict=False, high=None,
 
     Every numeric setting passes through it where it is built: the fields
     of ``SolverConfig``, ``Hyperparams`` and ``RsynthSpec``, a class count,
-    a Solution's seed, the quantile of ``metrics`` and the CLI's number
+    a Solution's seed, the quantile and neighbourhood sizes of
+    ``metrics``, the size of ``data.subsample`` and the CLI's number
     flags."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real):

@@ -98,10 +98,13 @@ def loss_threshold(global_losses, q: float = 0.3) -> float:
     return float(np.quantile(losses, q))
 
 
-def check_k(k: int, n: int) -> None:
-    """Raise a SlisemapError unless 1 <= k < n."""
-    if not 1 <= k < n:
-        raise SlisemapError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+def check_k(k: int, n: int) -> int:
+    """``k`` as a Python int, by :func:`errors.check_number`: a SlisemapError
+    unless it is an integer, not a boolean, with 1 <= k < n."""
+    return check_number("k", k, low=1, high=n - 1, integer=True,
+                        error=lambda _: SlisemapError(
+                            f"k must be an integer with 1 <= k < n, got "
+                            f"k={k!r}, n={n}"))
 
 
 def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
@@ -112,7 +115,7 @@ def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     columns of the result are the j nearest neighbours.
     """
     Z = np.asarray(Z, dtype=float)
-    check_k(k, Z.shape[0])
+    k = check_k(k, Z.shape[0])
     D = pairwise_distances(Z)
     np.fill_diagonal(D, np.inf)
     # An unstable sort gives the stable order of a row's first k wherever
@@ -183,9 +186,7 @@ def compute_report(sol: Solution, ks, labels=None, quantile: float = 0.3,
     The loss matrix and the neighbour order are built once: the k nearest
     neighbours are the first k of the ``max(ks)`` nearest.
     """
-    ks = sorted(set(int(k) for k in ks))
-    for k in ks:
-        check_k(k, sol.n)
+    ks = sorted({check_k(k, sol.n) for k in ks})
     b_global = fit_global_model(sol.X, sol.Y, sol.task,
                                 lambda_lasso=sol.hyperparams.lambda_lasso,
                                 config=config)

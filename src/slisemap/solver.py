@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,9 +25,9 @@ from .errors import (DataError, NumericError, ShapeError, SlisemapError,
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
                         _as_problem, _forward, added_loss_and_gradients,
-                        local_loss_matrix, loss_and_gradients,
+                        distance_row, local_loss_matrix, loss_and_gradients,
                         pairwise_distances, row_contributions,
-                        softmax_weights, softmax_weights_row, total_loss)
+                        softmax_weights, total_loss)
 
 # A round of the fit loop counts as a gain only above this share of the
 # loss: smaller gains move neither the embedding nor purity visibly, and the
@@ -46,12 +46,14 @@ def _plateau_top(best_f: float) -> float:
 # row gained nothing, or a solve failed numerically.
 STOP_REASONS = ("max-outer-iters", "plateau", "no-gain", "numeric")
 
-# Bound on the first trial step of a single add's solve, per coordinate.  A
-# single add's z starts at its copy's Z_r (whatever B starts at), at
-# distance zero from that old row, inside the distance smoothing of width
-# sqrt(_DIST_GRAD_EPS); the default unit first step lands far past that
-# kink and the zoom then walks it back a decade per evaluation.  Ten
-# smoothing widths is the scale the copy's loss is curved on.  Tied to the
+# Floor of the bound on the first trial step of a single add's solve, per
+# coordinate.  A single add's z starts at its copy's Z_r,
+# at distance zero from that old row, inside the distance smoothing of
+# width sqrt(_DIST_GRAD_EPS); the default unit first step lands far past
+# that kink and the zoom then walks it back a decade per evaluation.  The
+# bound is the distance to the nearest old row apart from Z_r, where the
+# optimum often lies in a collapsed cluster, but never below ten
+# smoothing widths, the scale the copy's loss is curved on.  Tied to the
 # smoothing so that removing it calls for a second look here.
 _SINGLE_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
 
@@ -94,9 +96,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _check_names(**names):
     """Raise a DataError naming the first of ``names`` that is not a list
-    of strings."""
+    or tuple of strings."""
     for key, value in names.items():
-        if not (isinstance(value, list)
+        if not (isinstance(value, (list, tuple))
                 and all(isinstance(v, str) for v in value)):
             raise DataError(f"{key!r} is not a list of strings")
 
@@ -112,17 +114,19 @@ class Solution:
     length and shape against (X, Y), raising a ShapeError.  It raises a
     DataError for non-finite entries, a normalization std at or below 0, a
     ``loss_history`` that is empty or increases, ``column_names`` or
-    ``target_names`` that are not lists of strings, and a ``seed`` that
-    fails :func:`errors.check_number` as an integer >= 0.  It stores the
-    seed as a Python int and the history as Python floats, so every
-    Solution that can be built saves a file that loads.
+    ``target_names`` that are not lists (or tuples) of strings, and a
+    ``seed`` that fails :func:`errors.check_number` as an integer >= 0.
+    It stores the seed as a Python int, the history as a tuple of Python
+    floats and the names as tuples, so every Solution that can be built
+    saves a file that loads.
 
     A Solution is read-only after construction: it holds read-only copies
-    of X, Y, B and Z, so neither a later write into the arrays it was
-    built from nor one into its own can change it, and its record and the
-    start base of single adds (3n floats, computed on the first one and
-    kept) describe those arrays.  Make a changed solution with
-    ``dataclasses.replace``, which starts without that base.
+    of X, Y, B, Z and the normalization's mean and std, and tuples of its
+    names and history, so neither a later write into what it was built
+    from nor an in-place edit of its own can change it or what it saves,
+    and its record and the start base of single adds (3n floats, computed
+    on the first one and kept) describe those arrays.  Make a changed
+    solution with ``dataclasses.replace``, which starts without that base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
     solutions by their ``to_json_dict()`` documents.
@@ -134,11 +138,11 @@ class Solution:
     Z: np.ndarray
     hyperparams: Hyperparams
     task: TaskKind
-    loss_history: list[float]  # the fit's best loss after each solve
+    loss_history: tuple[float, ...]  # the fit's best loss after each solve
     seed: int
-    column_names: list[str]
+    column_names: tuple[str, ...]
     normalization: Normalization
-    target_names: list[str] = field(default_factory=lambda: ["y"])
+    target_names: tuple[str, ...] = ("y",)
     stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
@@ -146,7 +150,9 @@ class Solution:
                                  error=DataError)
         _check_names(column_names=self.column_names,
                      target_names=self.target_names)
-        self.loss_history = h = [float(v) for v in self.loss_history]
+        self.column_names = tuple(self.column_names)
+        self.target_names = tuple(self.target_names)
+        self.loss_history = h = tuple(float(v) for v in self.loss_history)
         if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
             raise DataError("loss_history is empty, non-finite or "
                             "increasing")
@@ -167,6 +173,8 @@ class Solution:
                       normalization=(norm.mean, norm.std))
         if not (norm.std > 0.0).all():
             raise DataError("normalization std has entries <= 0")
+        self.normalization = Normalization(mean=_read_only(norm.mean),
+                                           std=_read_only(norm.std))
 
     @property
     def n(self) -> int:
@@ -331,6 +339,18 @@ def init(X, Y, hp: Hyperparams, task: TaskKind, seed: int):
     return B0, Z0
 
 
+def _embedding_scale(hp: Hyperparams) -> float:
+    """The factor :func:`lbfgs_minimize` scales the embedding block by.
+
+    Large lambda_z makes the embedding block of the Hessian (about
+    2*lambda_z) vastly stiffer than the model block; optimizing the
+    rescaled embedding V = Z * scale keeps the joint problem well
+    conditioned without changing the loss or its minimizer.  At
+    lambda_z <= 0.5 the scale is 1 and V is Z, with nothing to divide.
+    """
+    return max(1.0, math.sqrt(2.0 * hp.lambda_z))
+
+
 @_QUIET
 def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
                    config: SolverConfig, *, max_first_step=None, band=None):
@@ -344,12 +364,7 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
     Penalties too large for floats end in a NumericError, not a warning.
     """
     nb = B0.size
-    # Large lambda_z makes the embedding block of the Hessian (about
-    # 2*lambda_z) vastly stiffer than the model block; optimizing the
-    # rescaled embedding V = Z * scale keeps the joint problem well
-    # conditioned without changing the loss or its minimizer.  At
-    # lambda_z <= 0.5 the scale is 1 and V is Z, with nothing to divide.
-    scale = max(1.0, np.sqrt(2.0 * hp.lambda_z))
+    scale = _embedding_scale(hp)
 
     def unscaled(V):
         return V if scale == 1.0 else V / scale
@@ -576,15 +591,19 @@ def add_new(sol: Solution, X_new, Y_new,
     least-squares fit of the copy's neighbourhood,
     b* = argmin_b sum_j W_rj (x_j . b - y_j)^2 + w_r (x . b - y)^2, when
     b*'s start loss (f_r's formula with b* for B_r) is at most B_r's; both
-    are taken under row r's weights, computed in O(n) from Z
-    (:func:`softmax_weights_row`).  Otherwise, or when its normal
+    are taken under row r's weights, computed in O(n) from row r's
+    distances D_r (:func:`distance_row`).  Otherwise, or when its normal
     equations are singular, B starts at B_r.  Either way a training row
     added again starts no worse than its own copy.  Classification keeps
     B_r: the Hellinger loss has no closed-form fit, and an iterative
     B-first solve measured a single-add p50 of 2.2 ms against 0.71 on
     ``clf200``.  The start's z sits inside the distance smoothing of row
-    r, so the solve's first trial moves no coordinate more than
-    ``_SINGLE_ADD_FIRST_STEP``, and its value is the row's loss.
+    r, and the optimum often at a nearby row of its collapsed cluster, so
+    the solve's first trial moves no coordinate of B or z more than
+    ``max(_SINGLE_ADD_FIRST_STEP, min(D_rj > 0))``, the distance to the
+    nearest old row apart from Z_r but never below ten smoothing widths
+    (in :func:`lbfgs_minimize`'s scaled units).  The solve's value is
+    the row's loss.
 
     Several rows start jointly, B and z, from the old row whose
     neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as in
@@ -617,13 +636,17 @@ def add_new(sol: Solution, X_new, Y_new,
         f = (S + w * L) / (1.0 + w) + pen
         r = int(np.argmin(f))
         B0, Z0 = sol.B[r:r + 1], sol.Z[r:r + 1]
+        D_r = distance_row(sol.Z, r)
         if not task.is_classification:
-            W_r = softmax_weights_row(sol.Z, r)
+            W_r = softmax_weights(D_r[None])[0]
             B0 = _least_squares_start(Xc, Yc[:, 0], np.append(W_r, W_r[r]),
                                       B0, hp.lambda_lasso)
+        apart = D_r[D_r > 0.0]
+        step = max(_SINGLE_ADD_FIRST_STEP,
+                   float(apart.min()) if apart.size else 0.0)
         B_new, Z_new, f_new = lbfgs_minimize(
             fun_and_grad, B0, Z0, hp, config,
-            max_first_step=_SINGLE_ADD_FIRST_STEP)
+            max_first_step=step * _embedding_scale(hp))
         return B_new, Z_new, np.array([f_new])
     rows = _best_rows(softmax_weights(pairwise_distances(sol.Z)), sol.B,
                       X_new, Y_new, task)

@@ -935,7 +935,7 @@ class TestClassificationPipeline:
         assert rc == 0
         sol = Solution.load(sol_path)
         assert sol.Y.shape == (30, 3)
-        assert sol.target_names == ["cls=0", "cls=1", "cls=2"]
+        assert sol.target_names == ("cls=0", "cls=1", "cls=2")
 
     def test_one_hot_add_reads_the_class_id_column(self, tmp_path, capsys):
         data = tmp_path / "hard.csv"
@@ -962,8 +962,8 @@ class TestClassificationPipeline:
         still reads that id on ``add``, and refuses id 1000001."""
         data, sol_path = tmp_path / "ids.csv", tmp_path / "sol.json"
         assert fit_class_ids(data, sol_path, ids=(1000000, 1000001)) == 0
-        assert Solution.load(sol_path).target_names == ["cls=1000000",
-                                                        "cls=1000001"]
+        assert Solution.load(sol_path).target_names == ("cls=1000000",
+                                                        "cls=1000001")
         assert fit_class_ids(data, sol_path, ids=(0, 1000000)) == 0
         doc = json.loads(sol_path.read_text())
         assert doc["target_names"] == ["cls=0", "cls=1000000"]
@@ -991,7 +991,7 @@ class TestClassificationPipeline:
                      "--target", "y=b", "--task", "classification",
                      "--lambda-z", "0.05", "--seed", "3",
                      "--max-outer-iters", "0", "--out", str(sol_path)]) == 0
-        assert Solution.load(sol_path).target_names == ["y=a", "y=b"]
+        assert Solution.load(sol_path).target_names == ("y=a", "y=b")
         out = tmp_path / "a.csv"
         assert main(["add", "--solution", str(sol_path), "--data", str(data),
                      "--out", str(out)]) == 0

@@ -265,6 +265,12 @@ class TestTrainingResponse:
 
 
 class TestSubsample:
+    @pytest.mark.parametrize("n0", [2.5, 10.0, True, 0, "10"])
+    def test_size_must_be_an_integer_of_at_least_one(self, n0):
+        ds, _ = generate_rsynth(RsynthSpec(n=15, m=2, seed=1))
+        with pytest.raises(DataError, match="subsample size"):
+            subsample(ds, n0, seed=3)
+
     def test_noop_when_large_enough(self):
         ds, _ = generate_rsynth(RsynthSpec(n=15, m=2, seed=1))
         out = subsample(ds, 15, seed=3)

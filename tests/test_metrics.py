@@ -159,6 +159,11 @@ class TestClusterPurity:
         with pytest.raises(SlisemapError):
             cluster_purity(rng.standard_normal((5, 2)), np.zeros(5), 5)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_k_must_be_an_integer(self, rng, k):
+        with pytest.raises(SlisemapError, match="integer"):
+            cluster_purity(rng.standard_normal((10, 2)), np.zeros(10), k)
+
 
 class TestFidelity:
     def test_exactly_recovered_models_have_zero_fidelity(self):
@@ -319,4 +324,12 @@ class TestComputeReport:
     def test_out_of_range_k_rejected(self, rsynth_solution, k):
         _, _, sol = rsynth_solution
         with pytest.raises(SlisemapError, match="1 <= k < n"):
+            compute_report(sol, ks=[5, k])
+
+    @pytest.mark.parametrize("k", [2.5, True, 10.0])
+    def test_k_must_be_an_integer(self, rsynth_solution, k):
+        """A count k that is not an integer is refused, not truncated: at
+        2.5 the report would read k = 2, at True k = 1."""
+        _, _, sol = rsynth_solution
+        with pytest.raises(SlisemapError, match="integer"):
             compute_report(sol, ks=[5, k])

@@ -303,7 +303,7 @@ class TestFit:
             B0, Z0 = solver.init(ds.X, ds.Y, hp, REG, 4)
             assert sol.B.tobytes() == B0.tobytes()
             assert sol.Z.tobytes() == Z0.tobytes()
-            assert h == [sol.final_loss] and sol.outer_iters_used == 1
+            assert h == (sol.final_loss,) and sol.outer_iters_used == 1
         else:
             assert len(h) >= 2 and all(a >= b for a, b in zip(h, h[1:]))
             assert sol.final_loss == h[-1]
@@ -423,7 +423,7 @@ class TestFit:
         doc = sol.to_json_dict()
         del doc["loss_history"], doc["numeric_warning"], doc["stop_reason"]
         back = Solution.from_json_dict(doc)
-        assert back.loss_history == [sol.final_loss]
+        assert back.loss_history == (sol.final_loss,)
         assert back.stop_reason == ""
         assert back.final_loss == sol.final_loss
         back = Solution.from_json_dict({**doc, "numeric_warning": True})
@@ -461,6 +461,40 @@ class TestFit:
         fresh = Solution.from_json_dict(sol.to_json_dict())
         assert [a.tobytes() for a in add_new(sol, x, y, config)] == \
             [a.tobytes() for a in add_new(fresh, x, y, config)]
+
+    def test_names_history_and_normalization_refuse_edits(self, small_fit,
+                                                          tmp_path):
+        """A solution keeps tuples of its names and history and read-only
+        copies of its normalization, so an in-place edit after ``fit``
+        raises instead of making ``save`` write a file that does not load,
+        as ``column_names.append`` on a list of names did; its document
+        still holds lists."""
+        _, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        names = list(sol.column_names)
+        mean = sol.normalization.mean.copy()
+        built = dataclasses.replace(sol, column_names=names,
+                                    normalization=Normalization(
+                                        mean=mean,
+                                        std=sol.normalization.std.copy()))
+        names.append("extra")
+        mean[0] += 1.0
+        assert built.column_names == sol.column_names
+        assert built.normalization.mean.tobytes() \
+            == sol.normalization.mean.tobytes()
+        for s in (sol, built):
+            for key in ("column_names", "target_names", "loss_history"):
+                with pytest.raises(AttributeError):
+                    getattr(s, key).append(getattr(s, key)[0])
+            for a in (s.normalization.mean, s.normalization.std):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+            path = tmp_path / "sol.json"
+            s.save(path)
+            doc = Solution.load(path).to_json_dict()
+            assert doc == fitted.to_json_dict()
+            assert all(type(doc[key]) is list for key in
+                       ("column_names", "target_names", "loss_history"))
 
     @pytest.mark.parametrize("std", [0.0, -1.0])
     def test_non_positive_std_is_data_error(self, small_fit, std):
@@ -562,25 +596,64 @@ class TestAddNew:
             want = np.concatenate(parts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def first_steps(monkeypatch, sol, rows, one_by_one):
+        """``(cap, z0)`` of every solve of ``add_new(sol, ...)`` on the
+        training ``rows``: the ``max_first_step`` passed to
+        ``lbfgs.minimize`` and the start's embedding row, unscaled."""
+        seen = []
+        minimize = lbfgs.minimize
+
+        def recording(fg, x0, **kwargs):
+            seen.append((kwargs["max_first_step"], x0[-sol.Z.shape[1]:]))
+            return minimize(fg, x0, **kwargs)
+
+        monkeypatch.setattr(lbfgs, "minimize", recording)
+        add_new(sol, sol.X[rows], sol.Y[rows], SolverConfig(seed=11),
+                one_by_one=one_by_one)
+        monkeypatch.undo()
+        scale = max(1.0, np.sqrt(2.0 * sol.hyperparams.lambda_z))
+        return [(cap, z0 / scale) for cap, z0 in seen], scale
+
     def test_first_step_cap_only_for_single_rows(self, small_fit,
                                                  monkeypatch):
         """A joint batch solves with the default first step; each row of a
-        ``one_by_one`` add solves on its own under the single-add cap."""
-        _, sol = small_fit
-        caps = []
-        minimize = lbfgs.minimize
+        ``one_by_one`` add solves on its own under the single-add cap: the
+        distance from its start Z_r to the nearest old row apart from it,
+        never below ``_SINGLE_ADD_FIRST_STEP``, times the embedding scale
+        max(1, sqrt(2 lambda_z)) of the solve's units."""
+        _, fitted = small_fit
+        floor = solver._SINGLE_ADD_FIRST_STEP
+        above = 0  # caps above the floor
+        for lambda_z in (0.1, 2.0):
+            sol = dataclasses.replace(
+                fitted, hyperparams=Hyperparams(lambda_z=lambda_z))
+            seen, _ = self.first_steps(monkeypatch, sol, slice(0, 3), False)
+            assert [cap for cap, _ in seen] == [None]
+            seen, scale = self.first_steps(monkeypatch, sol, slice(None),
+                                           True)
+            assert len(seen) == sol.n
+            for cap, z0 in seen:
+                D = np.sqrt(((sol.Z - z0) ** 2).sum(axis=1))
+                assert (D == 0.0).any()  # z starts at an old row
+                want = max(floor, D[D > 0.0].min()) * scale
+                assert cap == pytest.approx(want, rel=1e-12, abs=0.0)
+                above += want > floor * scale
+        assert above > 0
 
-        def recording(*args, **kwargs):
-            caps.append(kwargs["max_first_step"])
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(lbfgs, "minimize", recording)
-        add_new(sol, sol.X[:3], sol.Y[:3], SolverConfig(seed=11))
-        assert caps == [None]
-        caps.clear()
-        add_new(sol, sol.X[:3], sol.Y[:3], SolverConfig(seed=11),
-                one_by_one=True)
-        assert caps == [solver._SINGLE_ADD_FIRST_STEP] * 3
+    def test_first_step_floor_when_every_row_coincides(self, small_fit,
+                                                       monkeypatch):
+        """With no old row apart from Z_r the single-add cap is the floor
+        ``_SINGLE_ADD_FIRST_STEP``, in the solve's units."""
+        _, fitted = small_fit
+        for lambda_z in (0.1, 2.0):
+            sol = dataclasses.replace(
+                fitted, Z=np.full_like(fitted.Z, 0.25),
+                hyperparams=Hyperparams(lambda_z=lambda_z))
+            seen, scale = self.first_steps(monkeypatch, sol, slice(0, 3),
+                                           True)
+            assert [cap for cap, _ in seen] \
+                == [solver._SINGLE_ADD_FIRST_STEP * scale] * 3
 
     @pytest.mark.parametrize("one_by_one", [False, True])
     def test_zero_rows_add_nothing(self, small_fit, monkeypatch, one_by_one):

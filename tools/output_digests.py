@@ -119,7 +119,7 @@ def digest_line(p) -> str:
             raise AssertionError("a single add ends above its copy score")
     return " ".join([
         "state", digest(sol.B, sol.Z, sol.final_loss),
-        "record", digest(sol.loss_history, sol.outer_iters_used,
+        "record", digest(list(sol.loss_history), sol.outer_iters_used,
                          sol.stop_reason),
         "escape", digest(*solver.escape(sol.X, sol.Y, sol.B, sol.Z, sol.task)),
         "report", digest(json.dumps(report.to_json_dict(), sort_keys=True)),
