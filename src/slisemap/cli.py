@@ -190,7 +190,7 @@ def cmd_add(args):
     if set(names) != set(sol.column_names):
         raise DataError(
             f"covariate columns {names} do not match the "
-            f"solution's {sol.column_names}")
+            f"solution's {list(sol.column_names)}")
     order = [names.index(c) for c in sol.column_names]
     X_new = datamod.apply_normalization(X_raw[:, order], sol.normalization)
     Y_new = datamod.training_response(Y, sol.task)

@@ -38,15 +38,19 @@ The inputs are checked on every call.  An evaluation enters one
 
 The classification B gradient sums over the items sequentially, in the
 fixed order j = 0, 1, ..., N - 1 (one einsum, not a BLAS product, whose
-blocking would round differently).  Its layout is chosen by shape: while
-the p-1 free planes hold no more rows, (p-1) k, than X has columns (a
-single add, or a few rows) they stay class-major, otherwise they are
-written items-first into the dead Hellinger planes, so that numpy's inner
-loop runs along the rows; both layouts give the same bytes.  The rule
-follows a timing of the two sums (N = 150-210 items, one BLAS thread): at
-q = 11 columns the faster layout changes between k = 5 and 8 rows for
-p = 3, 10 and 20 for p = 2, and 3 and 5 for p = 5, and at p = 3 between
-k = 2 and 4 for q = 5 and 10 and 14 for q = 21.
+blocking would round differently).  Its layout is chosen by shape.
+Class-major, numpy's inner loop runs along the q columns of X; staged
+items-first in the dead Hellinger planes, it runs along the (p-1) k rows
+of the free planes, at the cost of one copy.  The planes stay
+class-major while (p-1) k <= 1.4 q (a single add, or a few rows), and
+are staged items-first otherwise; both layouts give the same bytes.  The
+rule follows a timing of the two sums (N = 150-210 items, one BLAS
+thread, median of three rounds): class-major was faster up to
+(p-1) k / q = 1.4 (p = 5, q = 11, k = 3; p = 13, q = 11, k = 1;
+p = 8, q = 5, k = 1; p = 3 at q = 3, 5, 11 and 21 up to k = 2, 3, 5 and
+11) and items-first from 1.45 (p = 5, q = 11, k = 4; p = 20, q = 11,
+k = 1; p = 13, q = 5, k = 1; p = 3 at q = 5 and 11 from k = 4 and 8),
+but for two near ties within 7% either way.
 """
 
 from __future__ import annotations
@@ -202,19 +206,19 @@ def softmax_weights(D: np.ndarray) -> np.ndarray:
 
 
 @_QUIET
-def distance_row(Z: np.ndarray, r: int) -> np.ndarray:
-    """Distances from row ``r`` of ``Z`` to every row, in O(n d) time and
-    memory.
+def softmax_weights_row(Z: np.ndarray, r: int) -> np.ndarray:
+    """Row ``r`` of ``softmax_weights(pairwise_distances(Z))`` in O(n) time
+    and memory, from the same distance and softmax code.
 
-    They come from the coordinate differences, not the Gram product, so
-    an entry is exactly zero where a row equals Z_r (D_rr included).
-    ``softmax_weights(distance_row(Z, r)[None])[0]`` is row r of
-    ``softmax_weights(pairwise_distances(Z))`` up to the Gram product's
-    rounding of D_rj there, about eps (|Z_r|^2 + |Z_j|^2) / D_rj.
+    D_rr is exactly zero.  The one-row Gram product may round a product
+    differently from the all-rows one, which moves D_rj, and so the
+    weight's share, by about eps |Z_r| |Z_j| / D_rj.
     """
-    Z = np.asarray(Z, dtype=float)
-    diff = Z - Z[r]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    Z = np.ascontiguousarray(Z, dtype=float)
+    n = Z.shape[0]
+    D = _distances(Workspace(), Z, Z[r:r + 1], np.empty((1, n + 1)))[:, :n]
+    D[0, r] = 0.0  # the Gram route leaves a rounding error here
+    return _softmax_into(np.empty((1, n)), D)[0]
 
 
 def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
@@ -316,8 +320,9 @@ def _grad_b(B, X, task: TaskKind, V, cache) -> np.ndarray:
     Overwrites the probability and Hellinger planes (classification) or
     the residuals (regression).  Each classification entry is the
     sequential sum over items j of G_cij X_jk (module docstring); when the
-    free planes have more rows, (p-1) k, than X has columns, G is staged
-    items-first, (N, p-1, k), in the Hellinger planes.
+    free planes have more than 1.4 times as many rows, (p-1) k, as X has
+    columns, G is staged items-first, (N, p-1, k), in the Hellinger
+    planes.
     """
     if task.is_classification:
         Q, H, Hsum = cache
@@ -328,7 +333,7 @@ def _grad_b(B, X, task: TaskKind, V, cache) -> np.ndarray:
         G *= -0.5
         G *= V
         k, N = V.shape
-        if G.shape[0] * k <= X.shape[1]:  # the copy would cost more
+        if 5 * G.shape[0] * k <= 7 * X.shape[1]:  # (p-1) k <= 1.4 q
             return np.einsum("cij,jk->ick", G, X).reshape(B.shape)
         Gt = H.reshape(-1)[:G.size].reshape(N, -1, k)
         Gt[...] = G.transpose(2, 0, 1)

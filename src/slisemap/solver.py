@@ -25,9 +25,9 @@ from .errors import (DataError, NumericError, ShapeError, SlisemapError,
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
                         _as_problem, _forward, added_loss_and_gradients,
-                        distance_row, local_loss_matrix, loss_and_gradients,
+                        local_loss_matrix, loss_and_gradients,
                         pairwise_distances, row_contributions,
-                        softmax_weights, total_loss)
+                        softmax_weights, softmax_weights_row, total_loss)
 
 # A round of the fit loop counts as a gain only above this share of the
 # loss: smaller gains move neither the embedding nor purity visibly, and the
@@ -47,14 +47,14 @@ def _plateau_top(best_f: float) -> float:
 STOP_REASONS = ("max-outer-iters", "plateau", "no-gain", "numeric")
 
 # Floor of the bound on the first trial step of a single add's solve, per
-# coordinate.  A single add's z starts at its copy's Z_r,
-# at distance zero from that old row, inside the distance smoothing of
-# width sqrt(_DIST_GRAD_EPS); the default unit first step lands far past
-# that kink and the zoom then walks it back a decade per evaluation.  The
-# bound is the distance to the nearest old row apart from Z_r, where the
-# optimum often lies in a collapsed cluster, but never below ten
-# smoothing widths, the scale the copy's loss is curved on.  Tied to the
-# smoothing so that removing it calls for a second look here.
+# coordinate.  A single add's z starts at its copy's Z_r, at distance zero
+# from that old row, inside the distance smoothing of width
+# sqrt(_DIST_GRAD_EPS); the default unit first step lands far past that
+# kink and the zoom then walks it back a decade per evaluation.  The bound
+# is the distance to the nearest old row apart from Z_r (kept in the start
+# base), where the optimum often lies in a collapsed cluster, but never
+# below ten smoothing widths, the scale the copy's loss is curved on.
+# Tied to the smoothing so that removing it calls for a second look here.
 _SINGLE_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
 
 
@@ -124,7 +124,7 @@ class Solution:
     of X, Y, B, Z and the normalization's mean and std, and tuples of its
     names and history, so neither a later write into what it was built
     from nor an in-place edit of its own can change it or what it saves,
-    and its record and the start base of single adds (3n floats, computed
+    and its record and the start base of single adds (4n floats, computed
     on the first one and kept) describe those arrays.  Make a changed
     solution with ``dataclasses.replace``, which starts without that base.
 
@@ -193,7 +193,7 @@ class Solution:
     @cached_property
     def _start_base(self):
         """:func:`_copy_base` of this solution, computed on first use:
-        ``(S, w, pen)``, three arrays of length n."""
+        ``(S, w, pen, nearest)``, four arrays of length n."""
         return _copy_base(self.X, self.Y, self.B, self.Z, self.hyperparams,
                           self.task)
 
@@ -510,22 +510,28 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
     """What the copy score of a single new row appended to the solution
     (B, Z) on the items (X, Y) needs besides the new item, from one
-    forward pass over the solution: ``(S, w, pen)``, each of length n.
+    forward pass over the solution: ``(S, w, pen, nearest)``, each of
+    length n.
 
     A single new row starts as a copy of an old row k.  The copy sees row
     k's neighbourhood plus itself at distance zero, so its loss is
     ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with S_k = sum_j W_kj L_kj,
     w_k = W_kk = 1 / sum_j exp(-D_kj) and
-    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  The n x n weights W
-    are dropped with the pass.  The arrays are read-only.
+    pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  nearest_k is the
+    distance from Z_k to the nearest row apart from it, min over
+    D_kj > 0 of D_kj, or 0 where every row coincides with Z_k; it bounds
+    the copy's first step.  The n x n distances and weights are dropped
+    with the pass.  The arrays are read-only.
     """
-    S, _, _, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
+    S, _, D, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
     w = np.diagonal(W).copy()
     pen = hp.lambda_z * (Z * Z).sum(axis=1) \
         + hp.lambda_lasso * np.abs(B).sum(axis=1)
-    for a in (S, w, pen):
+    nearest = np.where(D > 0.0, D, np.inf).min(axis=1)
+    nearest[nearest == np.inf] = 0.0
+    for a in (S, w, pen, nearest):
         a.setflags(write=False)
-    return S, w, pen
+    return S, w, pen, nearest
 
 
 @_QUIET
@@ -586,13 +592,13 @@ def add_new(sol: Solution, X_new, Y_new,
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
     k on the point; S, w and the penalties come from one forward pass over
     the solution (:func:`_copy_base`), made on the first single add to a
-    Solution and kept (3n floats).  Its z starts at Z_r.  For a
+    Solution and kept (4n floats).  Its z starts at Z_r.  For a
     squared-loss task (regression, binary-logit) B starts at the weighted
     least-squares fit of the copy's neighbourhood,
     b* = argmin_b sum_j W_rj (x_j . b - y_j)^2 + w_r (x . b - y)^2, when
     b*'s start loss (f_r's formula with b* for B_r) is at most B_r's; both
-    are taken under row r's weights, computed in O(n) from row r's
-    distances D_r (:func:`distance_row`).  Otherwise, or when its normal
+    are taken under row r's weights, computed in O(n) from Z
+    (:func:`softmax_weights_row`).  Otherwise, or when its normal
     equations are singular, B starts at B_r.  Either way a training row
     added again starts no worse than its own copy.  Classification keeps
     B_r: the Hellinger loss has no closed-form fit, and an iterative
@@ -601,9 +607,9 @@ def add_new(sol: Solution, X_new, Y_new,
     r, and the optimum often at a nearby row of its collapsed cluster, so
     the solve's first trial moves no coordinate of B or z more than
     ``max(_SINGLE_ADD_FIRST_STEP, min(D_rj > 0))``, the distance to the
-    nearest old row apart from Z_r but never below ten smoothing widths
-    (in :func:`lbfgs_minimize`'s scaled units).  The solve's value is
-    the row's loss.
+    nearest old row apart from Z_r (kept in the start base) but never
+    below ten smoothing widths, in :func:`lbfgs_minimize`'s scaled units.
+    The solve's value is the row's loss.
 
     Several rows start jointly, B and z, from the old row whose
     neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as in
@@ -631,19 +637,16 @@ def add_new(sol: Solution, X_new, Y_new,
                                         work=work)
 
     if k == 1:
-        S, w, pen = sol._start_base
+        S, w, pen, nearest = sol._start_base
         L = local_loss_matrix(sol.B, X_new, Y_new, task)[:, 0]
         f = (S + w * L) / (1.0 + w) + pen
         r = int(np.argmin(f))
         B0, Z0 = sol.B[r:r + 1], sol.Z[r:r + 1]
-        D_r = distance_row(sol.Z, r)
         if not task.is_classification:
-            W_r = softmax_weights(D_r[None])[0]
+            W_r = softmax_weights_row(sol.Z, r)
             B0 = _least_squares_start(Xc, Yc[:, 0], np.append(W_r, W_r[r]),
                                       B0, hp.lambda_lasso)
-        apart = D_r[D_r > 0.0]
-        step = max(_SINGLE_ADD_FIRST_STEP,
-                   float(apart.min()) if apart.size else 0.0)
+        step = max(_SINGLE_ADD_FIRST_STEP, float(nearest[r]))
         B_new, Z_new, f_new = lbfgs_minimize(
             fun_and_grad, B0, Z0, hp, config,
             max_first_step=step * _embedding_scale(hp))

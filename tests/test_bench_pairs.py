@@ -98,55 +98,3 @@ class TestSummarize:
         assert [line for line in lines if not line.startswith(" ")] == [
             "a: failed operations parent 0, change 0",
             "b: failed operations parent 0, change 0"]
-
-
-class TestWorkloadFlag:
-    """``--workload`` restricts the pairs to the named workloads of
-    ``BENCHMARK.json``; each run is a canned one."""
-
-    BENCH = json.loads((_TOOL.parent.parent / "BENCHMARK.json").read_text())
-    NAMES = [w["name"] for w in BENCH["workloads"]]
-
-    def run_main(self, monkeypatch, tmp_path, *flags):
-        ran = []
-
-        def canned(checkout, command, workload, pair, seconds):
-            ran.append((workload, pair))
-            return {"workload": workload, "pair": pair, "returncode": 0,
-                    "result": bench_pairs.parse_result(
-                        output(fit_s=1.0, purity_25=0.5))}
-
-        monkeypatch.setattr(bench_pairs, "run_one", canned)
-        code = bench_pairs.main([str(tmp_path), "--pairs", "2", *flags])
-        return code, ran
-
-    def test_named_workloads_only(self, monkeypatch, tmp_path, capsys):
-        last = self.NAMES[-1]
-        code, ran = self.run_main(monkeypatch, tmp_path, "--workload", last)
-        assert code == 0
-        assert ran == [(last, 1)] * 2 + [(last, 2)] * 2
-        out = capsys.readouterr().out
-        assert f"{last}: failed operations parent 0, change 0" in out
-        assert not any(line.startswith(name + ":")
-                       for name in self.NAMES[:-1]
-                       for line in out.splitlines())
-
-    def test_repeated_flag_keeps_the_file_order(self, monkeypatch,
-                                                tmp_path):
-        code, ran = self.run_main(
-            monkeypatch, tmp_path,
-            *[a for name in self.NAMES[::-1] for a in ("--workload", name)])
-        assert code == 0
-        assert [wl for wl, pair in ran if pair == 1] \
-            == [name for name in self.NAMES for _ in range(2)]
-
-    def test_all_workloads_by_default(self, monkeypatch, tmp_path):
-        _, ran = self.run_main(monkeypatch, tmp_path)
-        assert sorted({wl for wl, _ in ran}) == sorted(self.NAMES)
-
-    def test_unknown_workload_is_a_usage_error(self, monkeypatch, tmp_path,
-                                               capsys):
-        with pytest.raises(SystemExit) as exc:
-            self.run_main(monkeypatch, tmp_path, "--workload", "nope")
-        assert exc.value.code == 2
-        assert "invalid choice: 'nope'" in capsys.readouterr().err

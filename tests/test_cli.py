@@ -186,6 +186,8 @@ class TestAdd:
         rc = main(["add", "--solution", str(sol_path), "--data", str(p),
                    "--out", str(tmp_path / "a.csv")])
         assert rc == 3
+        assert ("covariate columns ['a', 'b'] do not match the solution's "
+                "['x1', 'x2', 'x3', 'x4']") in capsys.readouterr().err
 
     def test_one_row_add_is_not_standardized_on_its_own(self, workspace,
                                                         tmp_path):

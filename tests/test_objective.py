@@ -16,11 +16,11 @@ from slisemap.errors import NumericError, ShapeError
 from slisemap.model import TaskKind
 from slisemap.objective import (Hyperparams, Workspace, _as_problem,
                                 _forward, _grad_b, _local_losses,
-                                added_loss_and_gradients, distance_row,
+                                added_loss_and_gradients,
                                 local_loss_matrix, loss_and_gradients,
                                 pairwise_distances, row_contributions,
-                                softmax_weights, total_loss,
-                                uniform_loss_and_grad)
+                                softmax_weights, softmax_weights_row,
+                                total_loss, uniform_loss_and_grad)
 from slisemap.solver import escape
 
 REG = TaskKind.regression()
@@ -137,27 +137,24 @@ class TestSoftmaxWeights:
     @pytest.mark.parametrize("n, d, scale", [(40, 2, 1.0), (200, 2, 1.0),
                                              (40, 3, 5.0), (60, 1, 0.1)])
     def test_row_is_the_full_routes_row(self, rng, n, d, scale):
-        """The O(n) row ``softmax_weights(distance_row(Z, r)[None])[0]`` is
-        row r of ``softmax_weights(pairwise_distances(Z))`` on embeddings
-        without coincident rows.  The all-rows route forms D_rj^2 as
-        |Z_r|^2 + |Z_j|^2 - 2 Z_r . Z_j, and the rounding of its terms and
-        sums moves it by up to about 2 eps (|Z_r|^2 + |Z_j|^2), so D_rj by
-        that over 2 D_rj; the coordinate differences of ``distance_row``
-        round far less.  W_rj
-        and the row's normalization move by as much as the D_rj, so each
-        weight is held to 1e-15 relative plus twice the largest such move
-        of its row."""
+        """The O(n) row ``softmax_weights_row(Z, r)`` is row r of
+        ``softmax_weights(pairwise_distances(Z))`` on embeddings without
+        coincident rows.  The one-row Gram product may round Z_r . Z_j
+        differently from the all-rows one, by up to eps |Z_r| |Z_j|; that
+        moves D_rj by that over D_rj, and W_rj and the row's normalization
+        by as much, so each weight is held to 1e-15 relative plus twice
+        the largest such move of its row."""
         Z = scale * rng.standard_normal((n, d))
         W = softmax_weights(pairwise_distances(Z))
         D = pairwise_distances(Z)
         np.fill_diagonal(D, np.inf)
         assert D.min() > 0.0
-        sq = (Z * Z).sum(axis=1)
+        norms = np.linalg.norm(Z, axis=1)
         eps = np.finfo(float).eps
         for r in range(n):
-            got = softmax_weights(distance_row(Z, r)[None])[0]
+            got = softmax_weights_row(Z, r)
             assert got.shape == (n,)
-            tol = 1e-15 + 2.0 * eps * ((sq[r] + sq) / D[r]).max()
+            tol = 1e-15 + 2.0 * eps * (norms[r] * norms / D[r]).max()
             assert (np.abs(got - W[r]) <= tol * W[r]).all()
 
 

@@ -1,16 +1,14 @@
 """Compare a change with its parent on the benchmark: alternating pairs of
 runs in two checkouts, summarized per end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT [--pairs N] [--workload W ...]
+    python3 tools/bench_pairs.py PARENT [--pairs N]
 
 ``PARENT`` is a checkout of the parent commit (from ``git archive`` or
 ``git clone``); the change is the checkout this script is in.  For pair i
-= 1..N (default 10) and each workload in the change's ``BENCHMARK.json``
-(or only those named by ``--workload``, which may be given more than
-once; a name the file does not list is a usage error), it runs the
-benchmark's command with ``--workload W --seed i --seconds <run_seconds>
---trace 0`` in both checkouts, one run at a time: odd pairs run the
-parent first, even pairs the change first.
+= 1..N (default 10) and each workload in the change's ``BENCHMARK.json``,
+it runs the benchmark's command with ``--workload W --seed i --seconds
+<run_seconds> --trace 0`` in both checkouts, one run at a time: odd pairs
+run the parent first, even pairs the change first.
 
 It prints one line per run as it ends, with the run's result object.
 Then, for each workload and end-to-end metric, it prints each side's
@@ -136,23 +134,18 @@ def run_one(checkout: Path, command, workload: str, pair: int,
 
 
 def main(argv=None) -> int:
-    bench = json.loads((_ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=names,
-                    help="run only this workload (repeatable)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
-    if args.workload:
-        names = [wl for wl in names if wl in args.workload]
+    bench = json.loads((_ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": _ROOT}
     runs = []
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
-        for wl in names:
+        for wl in (w["name"] for w in bench["workloads"]):
             for side in order:
                 run = run_one(checkouts[side], bench["command"], wl, pair,
                               bench["run_seconds"])
