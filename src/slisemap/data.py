@@ -234,6 +234,23 @@ def _one_hot(ids: np.ndarray, column: str, names=None):
     return Y, names
 
 
+def check_class_probabilities(Y: np.ndarray, name: str, rows=None) -> None:
+    """Raise a DataError, naming ``name`` and the first bad row, unless
+    every row of the classification responses ``Y`` is a probability
+    vector: entries >= 0, summing to 1 within 1e-6.  ``rows[i]`` is how
+    the message numbers row i (default: i)."""
+    if Y.min(initial=0.0) < 0.0:
+        raise DataError(f"classification responses in {name} must be "
+                        "nonnegative")
+    off = np.abs(Y.sum(axis=1) - 1.0)
+    if off.max(initial=0.0) > 1e-6:
+        i = int(np.argmax(off > 1e-6))
+        raise DataError(
+            f"classification responses in {name} must sum to 1 per row; "
+            f"row {i if rows is None else rows[i]} sums to "
+            f"{float(Y[i].sum())!r}")
+
+
 def read_columns(path, target_columns, task: str, *,
                  label_column: Optional[str] = None):
     """Read a numeric CSV with a header row, without standardizing it.
@@ -275,13 +292,7 @@ def read_columns(path, target_columns, task: str, *,
             Y, target_names = _one_hot(
                 _integers(path, header, table, numbers, t_idx[0]), read[0],
                 names)
-        if (Y < 0).any():
-            raise DataError("classification responses must be nonnegative")
-        bad = np.flatnonzero(np.abs(Y.sum(axis=1) - 1.0) > 1e-6)
-        if bad.size:
-            raise DataError(
-                f"classification responses must sum to 1 per row; row "
-                f"{numbers[bad[0]]} sums to {float(Y[bad[0]].sum())!r}")
+        check_class_probabilities(Y, str(path), numbers)
     else:
         if Y.shape[1] != 1:
             raise DataError(f"{task} expects a single target column")

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, check_fields
+from .errors import DataError, NumericError, ShapeError, check_fields
 from .model import TaskKind
 
 # Smoothing inside the distance derivative only; keeps the gradient finite
@@ -221,21 +221,32 @@ def softmax_weights_row(Z: np.ndarray, r: int) -> np.ndarray:
     return _softmax_into(np.empty((1, n)), D)[0]
 
 
+def _floats(name: str, a) -> np.ndarray:
+    """``a`` as a float64 array, or a DataError naming it when its entries
+    are not numbers."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} has entries that are not numbers") from None
+
+
 def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
     """``(X, Y, B, Z, Z_old)`` as float64 arrays, a 1-D response as one
-    column and Z C-contiguous, or a ShapeError on any disagreement.
+    column and Z C-contiguous, or a ShapeError on any disagreement.  X or
+    Y with entries that are not numbers is a DataError naming it, and X
+    must have at least one column.
 
     Without ``B`` only (X, Y) are checked.  Without ``Z``, B may have any
     number of rows.  With it, the items of (X, Y) are the n_old frozen
     embedding rows ``Z_old`` (none by default) followed by the k rows of
     (B, Z), and ``d``, if given, is Z's width.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _floats("X", X), _floats("Y", Y)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2:
-        raise ShapeError("covariates must form a 2-D matrix", got=X.shape)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ShapeError("covariates must form a 2-D matrix with at least "
+                         "one column", got=X.shape)
     n, q = X.shape[0], task.coef_len(X.shape[1])
     if Y.shape != (n, task.response_dim()):
         raise ShapeError("response matrix shape does not match task",

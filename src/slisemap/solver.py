@@ -13,18 +13,19 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import lbfgs
-from .data import Normalization, write_json
+from .data import Normalization, check_class_probabilities, write_json
 from .errors import (DataError, NumericError, ShapeError, SlisemapError,
                      check_fields, check_number)
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
-                        _as_problem, _forward, added_loss_and_gradients,
+                        _as_problem, _floats, _forward,
+                        added_loss_and_gradients,
                         local_loss_matrix, loss_and_gradients,
                         pairwise_distances, row_contributions,
                         softmax_weights, softmax_weights_row, total_loss)
@@ -46,16 +47,26 @@ def _plateau_top(best_f: float) -> float:
 # row gained nothing, or a solve failed numerically.
 STOP_REASONS = ("max-outer-iters", "plateau", "no-gain", "numeric")
 
-# Floor of the bound on the first trial step of a single add's solve, per
-# coordinate.  A single add's z starts at its copy's Z_r, at distance zero
+# Floor of the bound on the first trial step of an add's solve, per
+# coordinate.  Each new row's z starts at its copy's Z_r, at distance zero
 # from that old row, inside the distance smoothing of width
 # sqrt(_DIST_GRAD_EPS); the default unit first step lands far past that
 # kink and the zoom then walks it back a decade per evaluation.  The bound
 # is the distance to the nearest old row apart from Z_r (kept in the start
-# base), where the optimum often lies in a collapsed cluster, but never
-# below ten smoothing widths, the scale the copy's loss is curved on.
-# Tied to the smoothing so that removing it calls for a second look here.
-_SINGLE_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
+# base; for a joint batch the least such distance over its rows), where
+# the optimum often lies in a collapsed cluster, but never below ten
+# smoothing widths, the scale the copy's loss is curved on.  Tied to the
+# smoothing so that removing it calls for a second look here.
+_ADD_FIRST_STEP = 10.0 * math.sqrt(_DIST_GRAD_EPS)
+
+# A joint batch row copies one of the fewest old rows that carry this share
+# of its anchor row's softmax weight (:func:`_neighbourhood`).  Measured
+# without the first-step bound on the benchmark's training sets (fresh
+# points of seed 1, batches of 10), joint-batch evaluations at shares 1/4,
+# 1/2 and 3/4 were 7385 / 1687 / 1538 on ``reg200-seeds`` and
+# 4679 / 1198 / 987 on ``clf200``, with mean loss and added-point purity
+# flat.
+_START_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,10 @@ def _check_finite(**arrays):
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of ``a``, in its memory layout."""
-    a = np.array(a, dtype=float)
+    """A read-only float64 copy of ``a``, in its memory layout, with
+    numpy's own float64 dtype, so that ``np.asarray(copy, dtype=float)``
+    is the copy itself (an unpickled array's equal dtype is not)."""
+    a = np.asarray(a, dtype=float).astype(float)
     a.setflags(write=False)
     return a
 
@@ -112,7 +125,9 @@ class Solution:
     for the binary-logit task).  ``normalization`` maps raw features into
     X's basis (``data.apply_normalization``).  Construction checks every
     length and shape against (X, Y), raising a ShapeError.  It raises a
-    DataError for non-finite entries, a normalization std at or below 0, a
+    DataError for non-finite entries, classification responses whose rows
+    are not probability vectors (:func:`data.check_class_probabilities`),
+    a normalization std at or below 0, a
     ``loss_history`` that is empty or increases, ``column_names`` or
     ``target_names`` that are not lists (or tuples) of strings, and a
     ``seed`` that fails :func:`errors.check_number` as an integer >= 0.
@@ -124,9 +139,11 @@ class Solution:
     of X, Y, B, Z and the normalization's mean and std, and tuples of its
     names and history, so neither a later write into what it was built
     from nor an in-place edit of its own can change it or what it saves,
-    and its record and the start base of single adds (4n floats, computed
-    on the first one and kept) describe those arrays.  Make a changed
-    solution with ``dataclasses.replace``, which starts without that base.
+    and its record and the start base of adds (4n floats, computed on the
+    first one and kept) describe those arrays.  Make a changed solution
+    with ``dataclasses.replace``, which starts without that base.  Pickling
+    (and ``copy``) rebuilds a Solution through its constructor, so the
+    copy is checked and read-only too, and starts without the base.
 
     Equality is identity (``a == b`` only when ``a is b``): compare two
     solutions by their ``to_json_dict()`` documents.
@@ -171,10 +188,15 @@ class Solution:
                              "length does not match", expected=want, got=got)
         _check_finite(X=self.X, Y=self.Y, B=self.B, Z=self.Z,
                       normalization=(norm.mean, norm.std))
+        if self.task.is_classification:
+            check_class_probabilities(self.Y, "Y")
         if not (norm.std > 0.0).all():
             raise DataError("normalization std has entries <= 0")
         self.normalization = Normalization(mean=_read_only(norm.mean),
                                            std=_read_only(norm.std))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self) -> int:
@@ -385,23 +407,18 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
     return B.copy(), unscaled(V).copy(), res.fun
 
 
-def _best_rows(W, B, X, Y, task: TaskKind) -> np.ndarray:
-    """Per item i, the row k minimizing (W @ L)[k, i]: the losses L of the
-    models ``B`` on item i averaged under row k's weights ``W[k]``; ties
-    go to the smallest k."""
-    return np.argmin(W @ local_loss_matrix(B, X, Y, task), axis=0)
-
-
 def escape(X, Y, B, Z, task: TaskKind):
     """Move every item to the row whose soft neighbourhood fits it best.
 
     For each item i the candidate score of row k is the neighbourhood
-    average, under row k's weights, of all models' losses on item i; every
-    item simultaneously adopts (B, Z) of its argmin row, read from the
-    original matrices.  Ties go to the smallest row index.
+    average, under row k's weights, of all models' losses on item i,
+    (W @ L)[k, i]; every item simultaneously adopts (B, Z) of its argmin
+    row, read from the original matrices.  Ties go to the smallest row
+    index.
     """
     X, Y, B, Z, _ = _as_problem(task, X, Y, B, Z)
-    ks = _best_rows(softmax_weights(pairwise_distances(Z)), B, X, Y, task)
+    W = softmax_weights(pairwise_distances(Z))
+    ks = np.argmin(W @ local_loss_matrix(B, X, Y, task), axis=0)
     return B[ks].copy(), Z[ks].copy()
 
 
@@ -435,6 +452,8 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     """
     X, Y, _, _, _ = _as_problem(task, X, Y)
     _check_finite(X=X, Y=Y)
+    if task.is_classification:
+        check_class_probabilities(Y, "Y")
     n, n_cols = X.shape
     if n < 2:
         raise SlisemapError(f"need at least 2 data items to embed, got {n}")
@@ -508,20 +527,17 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
 
 @_QUIET
 def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
-    """What the copy score of a single new row appended to the solution
-    (B, Z) on the items (X, Y) needs besides the new item, from one
-    forward pass over the solution: ``(S, w, pen, nearest)``, each of
-    length n.
+    """What the copy scores (:func:`_copy_scores`) of new rows appended to
+    the solution (B, Z) on the items (X, Y) need besides the new items,
+    from one forward pass over the solution: ``(S, w, pen, nearest)``, each
+    of length n.
 
-    A single new row starts as a copy of an old row k.  The copy sees row
-    k's neighbourhood plus itself at distance zero, so its loss is
-    ``(S_k + w_k L_k(x)) / (1 + w_k) + pen_k`` with S_k = sum_j W_kj L_kj,
-    w_k = W_kk = 1 / sum_j exp(-D_kj) and
+    S_k = sum_j W_kj L_kj, w_k = W_kk = 1 / sum_j exp(-D_kj) and
     pen_k = lambda_z |Z_k|^2 + lambda_lasso |B_k|_1.  nearest_k is the
     distance from Z_k to the nearest row apart from it, min over
     D_kj > 0 of D_kj, or 0 where every row coincides with Z_k; it bounds
-    the copy's first step.  The n x n distances and weights are dropped
-    with the pass.  The arrays are read-only.
+    the first step of a copy of row k.  The n x n distances and weights
+    are dropped with the pass.  The arrays are read-only.
     """
     S, _, D, W, _, _ = _forward(X, Y, B, Z, Z[:0], task, Workspace())
     w = np.diagonal(W).copy()
@@ -532,6 +548,29 @@ def _copy_base(X, Y, B, Z, hp: Hyperparams, task: TaskKind):
     for a in (S, w, pen, nearest):
         a.setflags(write=False)
     return S, w, pen, nearest
+
+
+def _copy_scores(base, L: np.ndarray) -> np.ndarray:
+    """Entry (i, k): the loss of new point i's row as a copy of old row k
+    in the problem incremented by that row alone, from the start base
+    ``base`` (:func:`_copy_base`) and the old models' losses ``L``
+    (k x n, or n for one point) on the new points.  The copy sees row k's
+    neighbourhood plus itself at distance zero, so its loss is
+
+        f_k = (S_k + w_k L_k(x)) / (1 + w_k) + pen_k.
+    """
+    S, w, pen, _ = base
+    return (S + w * L) / (1.0 + w) + pen
+
+
+def _neighbourhood(Z: np.ndarray, a: int) -> np.ndarray:
+    """The fewest rows of ``Z`` that carry ``_START_SHARE`` of row ``a``'s
+    softmax weight (:func:`softmax_weights_row`), row ``a`` first and the
+    rest by decreasing weight, ties to the smaller index."""
+    W = softmax_weights_row(Z, a)
+    order = np.argsort(-W, kind="stable")
+    order = np.concatenate(([a], order[order != a]))
+    return order[:np.searchsorted(np.cumsum(W[order]), _START_SHARE) + 1]
 
 
 @_QUIET
@@ -579,22 +618,26 @@ def add_new(sol: Solution, X_new, Y_new,
     i's loss contribution to the incremented problem.  The new rows are
     optimized against the frozen solution, which is never mutated; each
     starts at the embedding of an old row.  ``one_by_one`` stacks the
-    results of one single-row ``add_new`` call per point.  Non-finite
-    entries of X_new or Y_new are a DataError naming the array, raised
+    results of one single-row ``add_new`` call per point.  Non-finite or
+    text entries of X_new or Y_new, and classification rows of Y_new that
+    are not probability vectors, are a DataError naming the array, raised
     before any start or solve.
 
-    A single row starts from the old row r whose copy gives it the lowest
-    loss in the incremented problem,
+    Each new row i starts as a copy (B_r, Z_r) of an old row r, scored by
+    its copy score f_ki (:func:`_copy_scores`), the row's loss as a copy of
+    old row k in the problem incremented by that row alone,
 
         f_k = (S_k + w_k L_k(x)) / (1 + w_k) + lambda_z |Z_k|^2
               + lambda_lasso |B_k|_1,
 
     with S_k = sum_j W_kj L_kj, w_k = W_kk and L_k(x) the loss of old model
-    k on the point; S, w and the penalties come from one forward pass over
-    the solution (:func:`_copy_base`), made on the first single add to a
-    Solution and kept (4n floats).  Its z starts at Z_r.  For a
-    squared-loss task (regression, binary-logit) B starts at the weighted
-    least-squares fit of the copy's neighbourhood,
+    k on the point.  S, w and the penalties come from one forward pass over
+    the solution (:func:`_copy_base`), made on the first add to a Solution
+    and kept (4n floats), so no add forms an n x n array.
+
+    A single row starts from the row r with the lowest copy score over all
+    old rows.  For a squared-loss task (regression, binary-logit) B starts
+    at the weighted least-squares fit of the copy's neighbourhood,
     b* = argmin_b sum_j W_rj (x_j . b - y_j)^2 + w_r (x . b - y)^2, when
     b*'s start loss (f_r's formula with b* for B_r) is at most B_r's; both
     are taken under row r's weights, computed in O(n) from Z
@@ -603,26 +646,37 @@ def add_new(sol: Solution, X_new, Y_new,
     added again starts no worse than its own copy.  Classification keeps
     B_r: the Hellinger loss has no closed-form fit, and an iterative
     B-first solve measured a single-add p50 of 2.2 ms against 0.71 on
-    ``clf200``.  The start's z sits inside the distance smoothing of row
-    r, and the optimum often at a nearby row of its collapsed cluster, so
-    the solve's first trial moves no coordinate of B or z more than
-    ``max(_SINGLE_ADD_FIRST_STEP, min(D_rj > 0))``, the distance to the
-    nearest old row apart from Z_r (kept in the start base) but never
-    below ten smoothing widths, in :func:`lbfgs_minimize`'s scaled units.
-    The solve's value is the row's loss.
+    ``clf200``.  The solve's value is the row's loss.
 
-    Several rows start jointly, B and z, from the old row whose
-    neighbourhood fits their item best, ``argmin_k (W @ L)[k, i]`` as in
-    :func:`escape` (f ignores the other new rows, and measured worse
-    there), with the default first step; one more forward pass splits the
-    loss into rows.  A least-squares B start measured no better there:
-    8360 evaluations against 8284 and an equal mean loss on the
-    ``reg200-seeds`` batches.  The n x n weights W are computed once per
-    call, as in :func:`escape`, and not kept.
+    Several rows are solved jointly, each from the cheapest copy inside
+    its own point's neighbourhood: the anchor a_i = argmin_k L_k(x_i) is
+    the old model that fits point i best, and row i copies, among the
+    fewest old rows that carry half of row a_i's softmax weight
+    (:func:`_neighbourhood`, ``_START_SHARE``), the one with the lowest
+    copy score, ties to the earlier candidate.  The copy score alone
+    ranks rows mostly by their own neighbourhood's fit, so over all rows
+    it often picks a row outside the point's cluster; the anchor alone
+    starts the rows in the cluster but far from their optimum (the
+    benchmark's ``clf200`` and ``reg200-seeds`` fresh points of seed 1 in
+    batches of 10, without the first-step bound: 8320 and 9088
+    evaluations, against 1198 and 1687 for the rule).  The copy score
+    ignores the other new rows.  One more forward pass splits the joint
+    loss into rows.
+
+    Every new row's z starts inside the distance smoothing of its copy,
+    and the optimum often at a nearby row of its collapsed cluster, so the
+    solve's first trial moves no coordinate of B or z more than
+    ``max(_ADD_FIRST_STEP, min_i nearest[r_i])``: the least distance from
+    a start Z_r to the nearest old row apart from it (kept in the start
+    base), but never below ten smoothing widths, in
+    :func:`lbfgs_minimize`'s scaled units.
     """
-    X_new, Y_new, _, _, _ = _as_problem(sol.task, np.atleast_2d(X_new),
-                                        Y_new, sol.B)
+    X_new, Y_new, _, _, _ = _as_problem(
+        sol.task, _floats("X_new", np.atleast_2d(X_new)),
+        _floats("Y_new", Y_new), sol.B)
     _check_finite(X_new=X_new, Y_new=Y_new)
+    if sol.task.is_classification:
+        check_class_probabilities(Y_new, "Y_new")
     k = X_new.shape[0]
     if k == 0 or one_by_one:
         parts = [add_new(sol, X_new[i:i + 1], Y_new[i:i + 1], config)
@@ -636,24 +690,26 @@ def add_new(sol: Solution, X_new, Y_new,
         return added_loss_and_gradients(Xc, Yc, sol.Z, Bn, Zn, hp, task,
                                         work=work)
 
+    L = local_loss_matrix(sol.B, X_new, Y_new, task).T
+    f = _copy_scores(sol._start_base, L)
     if k == 1:
-        S, w, pen, nearest = sol._start_base
-        L = local_loss_matrix(sol.B, X_new, Y_new, task)[:, 0]
-        f = (S + w * L) / (1.0 + w) + pen
         r = int(np.argmin(f))
-        B0, Z0 = sol.B[r:r + 1], sol.Z[r:r + 1]
-        if not task.is_classification:
-            W_r = softmax_weights_row(sol.Z, r)
-            B0 = _least_squares_start(Xc, Yc[:, 0], np.append(W_r, W_r[r]),
-                                      B0, hp.lambda_lasso)
-        step = max(_SINGLE_ADD_FIRST_STEP, float(nearest[r]))
-        B_new, Z_new, f_new = lbfgs_minimize(
-            fun_and_grad, B0, Z0, hp, config,
-            max_first_step=step * _embedding_scale(hp))
+        rows = slice(r, r + 1)
+    else:
+        anchors = np.argmin(L, axis=1).tolist()
+        hoods = {a: _neighbourhood(sol.Z, a) for a in set(anchors)}
+        rows = np.array([hoods[a][np.argmin(f[i, hoods[a]])]
+                         for i, a in enumerate(anchors)])
+    B0, Z0 = sol.B[rows], sol.Z[rows]
+    if k == 1 and not task.is_classification:
+        W_r = softmax_weights_row(sol.Z, r)
+        B0 = _least_squares_start(Xc, Yc[:, 0], np.append(W_r, W_r[r]), B0,
+                                  hp.lambda_lasso)
+    step = max(_ADD_FIRST_STEP, float(sol._start_base[3][rows].min()))
+    B_new, Z_new, f_new = lbfgs_minimize(
+        fun_and_grad, B0, Z0, hp, config,
+        max_first_step=step * _embedding_scale(hp))
+    if k == 1:
         return B_new, Z_new, np.array([f_new])
-    rows = _best_rows(softmax_weights(pairwise_distances(sol.Z)), sol.B,
-                      X_new, Y_new, task)
-    B_new, Z_new, _ = lbfgs_minimize(fun_and_grad, sol.B[rows], sol.Z[rows],
-                                     hp, config)
     return B_new, Z_new, row_contributions(Xc, Yc, B_new, Z_new, hp, task,
                                            Z_old=sol.Z)

@@ -1074,7 +1074,8 @@ class TestOutputDigestsTool:
                          "sweep.csv"]
 
 
-@pytest.mark.parametrize("tool", ["output_digests", "eval_overhead"])
+@pytest.mark.parametrize("tool", ["output_digests", "eval_overhead",
+                                  "add_quality"])
 def test_tool_runs_blas_on_one_thread(tool):
     """Imported under other BLAS thread settings, a tool has every one of
     the package's BLAS thread variables at "1" when numpy is first

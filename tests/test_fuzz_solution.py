@@ -51,9 +51,12 @@ def solutions(draw):
     p = task.response_dim()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     history = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3))
+    Y = rng.random((n, p))
+    if task.is_classification:  # each row a probability vector
+        Y /= Y.sum(axis=1, keepdims=True)
     return Solution(
         X=np.hstack([rng.standard_normal((n, m)), np.ones((n, 1))]),
-        Y=rng.random((n, p)), B=rng.standard_normal((n, task.coef_len(m + 1))),
+        Y=Y, B=rng.standard_normal((n, task.coef_len(m + 1))),
         Z=rng.standard_normal((n, d)),
         hyperparams=Hyperparams(
             lambda_z=as_float(draw(st.floats(1e-3, 10.0))),

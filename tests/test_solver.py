@@ -3,6 +3,7 @@ serialization and out-of-sample addition."""
 
 import dataclasses
 import itertools
+import pickle
 import warnings
 from unittest import mock
 
@@ -268,6 +269,45 @@ class TestFit:
         with pytest.raises(DataError, match=f"{name} has non-finite"):
             fit(data["X"], data["Y"], Hyperparams(lambda_z=0.1), REG)
 
+    def test_covariates_without_columns_are_a_shape_error(self, rng,
+                                                          monkeypatch):
+        _, Y, *_ = random_instance(REG, 6, 3, 2, rng)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init ran before the shape check")
+
+        monkeypatch.setattr(solver, "init", no_init)
+        with pytest.raises(ShapeError, match="at least one column"):
+            fit(np.empty((6, 0)), Y, Hyperparams(lambda_z=0.1), REG)
+
+    @pytest.mark.parametrize("name", ["X", "Y"])
+    def test_text_entries_are_a_data_error(self, name, rng):
+        data = dict(zip("XY", random_instance(REG, 6, 3, 2, rng)))
+        data[name] = data[name].astype(object)
+        data[name][2, 0] = "a"
+        with pytest.raises(DataError, match=f"{name} has entries that are "
+                                            "not numbers"):
+            fit(data["X"], data["Y"], Hyperparams(lambda_z=0.1), REG)
+
+    @pytest.mark.parametrize("fault", ["sum-3", "negative"])
+    def test_class_responses_must_be_probabilities(self, fault, rng):
+        """Classification responses are probability vectors, as
+        ``data.read_columns`` requires of a file: ``fit`` and a Solution
+        refuse rows of ones (which fitted to a loss below the Hellinger
+        floor of 0) or a negative entry, naming Y."""
+        task = TaskKind.classification(3)
+        X, Y, B, Z, hp = random_instance(task, 6, 3, 2, rng)
+        bad = np.ones_like(Y) if fault == "sum-3" else Y.copy()
+        if fault == "negative":
+            bad[4] = [1.5, -0.25, -0.25]
+        match = "must sum to 1 per row; row 0 sums to 3.0" \
+            if fault == "sum-3" else "must be nonnegative"
+        with pytest.raises(DataError, match=f"responses in Y {match}"):
+            fit(X, bad, hp, task, SolverConfig(max_outer_iters=0))
+        sol = make_solution(X, Y, B, Z, hp, task)
+        with pytest.raises(DataError, match=f"responses in Y {match}"):
+            dataclasses.replace(sol, Y=bad)
+
     @pytest.mark.parametrize("where", ["first-call", "later-round"])
     def test_numeric_failure_returns_a_consistent_state(self, where,
                                                         monkeypatch):
@@ -462,6 +502,30 @@ class TestFit:
         assert [a.tobytes() for a in add_new(sol, x, y, config)] == \
             [a.tobytes() for a in add_new(fresh, x, y, config)]
 
+    def test_unpickled_solution_is_read_only(self, small_fit):
+        """Pickling rebuilds a Solution through its constructor: the copy's
+        arrays are read-only with numpy's own float64 dtype, so
+        ``np.asarray(a, dtype=float)`` gives them back as they are (a solve
+        then stacks the frozen rows once, not at every evaluation), it
+        starts without the kept start base, and its adds give the
+        original's bytes."""
+        ds, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        config = SolverConfig(seed=11)
+        adds = [(ds.X[:1], ds.Y[:1]), (ds.X[:4], ds.Y[:4])]
+        want = [add_new(sol, x, y, config) for x, y in adds]
+        assert "_start_base" in vars(sol)
+        back = pickle.loads(pickle.dumps(sol))
+        assert "_start_base" not in vars(back)
+        assert back.to_json_dict() == sol.to_json_dict()
+        for a in (back.X, back.Y, back.B, back.Z, back.normalization.mean,
+                  back.normalization.std):
+            assert not a.flags.writeable
+            assert np.asarray(a, dtype=float) is a
+        got = [add_new(back, x, y, config) for x, y in adds]
+        for out, ref in zip(got, want):
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in ref]
+
     def test_names_history_and_normalization_refuse_edits(self, small_fit,
                                                           tmp_path):
         """A solution keeps tuples of its names and history and read-only
@@ -597,72 +661,149 @@ class TestAddNew:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @staticmethod
-    def first_steps(monkeypatch, sol, rows, one_by_one):
-        """``(cap, z0)`` of every solve of ``add_new(sol, ...)`` on the
-        training ``rows``: the ``max_first_step`` passed to
-        ``lbfgs.minimize`` and the start's embedding row, unscaled."""
+    def first_steps(monkeypatch, sol, rows, one_by_one, X=None, Y=None):
+        """``(cap, x0, Z0)`` of every solve of ``add_new(sol, ...)`` on the
+        training ``rows`` (or on those of ``X`` and ``Y``): the
+        ``max_first_step`` passed to ``lbfgs.minimize``, the start vector
+        and its embedding rows, unscaled; and the embedding scale."""
         seen = []
         minimize = lbfgs.minimize
+        X = sol.X if X is None else X
+        Y = sol.Y if Y is None else Y
+        k = 1 if one_by_one else X[rows].shape[0]
 
         def recording(fg, x0, **kwargs):
-            seen.append((kwargs["max_first_step"], x0[-sol.Z.shape[1]:]))
+            seen.append((kwargs["max_first_step"], x0.copy()))
             return minimize(fg, x0, **kwargs)
 
         monkeypatch.setattr(lbfgs, "minimize", recording)
-        add_new(sol, sol.X[rows], sol.Y[rows], SolverConfig(seed=11),
+        add_new(sol, X[rows], Y[rows], SolverConfig(seed=11),
                 one_by_one=one_by_one)
         monkeypatch.undo()
         scale = max(1.0, np.sqrt(2.0 * sol.hyperparams.lambda_z))
-        return [(cap, z0 / scale) for cap, z0 in seen], scale
+        d = sol.Z.shape[1]
+        return [(cap, x0, x0[-k * d:].reshape(k, d) / scale)
+                for cap, x0 in seen], scale
 
-    def test_first_step_cap_only_for_single_rows(self, small_fit,
-                                                 monkeypatch):
-        """A joint batch solves with the default first step; each row of a
-        ``one_by_one`` add solves on its own under the single-add cap: the
-        distance from its start Z_r to the nearest old row apart from it,
-        never below ``_SINGLE_ADD_FIRST_STEP``, times the embedding scale
-        max(1, sqrt(2 lambda_z)) of the solve's units.  The solver takes
+    def test_first_step_cap_of_every_add(self, small_fit, monkeypatch):
+        """Every solve of an add runs under one cap on its first step: the
+        least distance from a start row's Z_r to the nearest old row apart
+        from it, never below ``_ADD_FIRST_STEP``, times the embedding scale
+        max(1, sqrt(2 lambda_z)) of the solve's units; a joint batch is one
+        solve, each row of a ``one_by_one`` add its own.  The solver takes
         the distances from the Gram product, which rounds
         D_rj^2 = |Z_r|^2 + |Z_j|^2 - 2 Z_r . Z_j by up to about
         2 eps (|Z_r|^2 + |Z_j|^2), and so D_rj by about
         eps (|Z_r|^2 + |Z_j|^2) / D_rj; the cap is held to the exact rule
         within four times the largest such move at the nearest row."""
         _, fitted = small_fit
-        floor = solver._SINGLE_ADD_FIRST_STEP
+        floor = solver._ADD_FIRST_STEP
         eps = np.finfo(float).eps
         above = 0  # caps above the floor
         for lambda_z in (0.1, 2.0):
             sol = dataclasses.replace(
                 fitted, hyperparams=Hyperparams(lambda_z=lambda_z))
-            seen, _ = self.first_steps(monkeypatch, sol, slice(0, 3), False)
-            assert [cap for cap, _ in seen] == [None]
-            seen, scale = self.first_steps(monkeypatch, sol, slice(None),
-                                           True)
-            assert len(seen) == sol.n
-            for cap, z0 in seen:
-                D = np.sqrt(((sol.Z - z0) ** 2).sum(axis=1))
-                assert (D == 0.0).any()  # z starts at an old row
-                nearest = D[D > 0.0].min()
-                want = max(floor, nearest) * scale
+            batch, _ = self.first_steps(monkeypatch, sol, slice(0, 3), False)
+            single, scale = self.first_steps(monkeypatch, sol, slice(None),
+                                             True)
+            assert len(batch) == 1 and len(single) == sol.n
+            for cap, _, Z0 in batch + single:
+                D = np.sqrt(((sol.Z[None, :, :] - Z0[:, None, :]) ** 2)
+                            .sum(axis=2))
+                assert (D == 0.0).any(axis=1).all()  # z starts at old rows
+                nearest = np.where(D > 0.0, D, np.inf).min(axis=1)
+                want = max(floor, nearest.min()) * scale
                 sq = (sol.Z ** 2).sum(axis=1)
-                tol = 4.0 * eps * ((z0 ** 2).sum() + sq.max()) / nearest
+                tol = 4.0 * eps * ((Z0 ** 2).sum(axis=1).max() + sq.max()) \
+                    / nearest.min()
                 assert abs(cap - want) <= tol * scale
                 above += want > floor * scale
         assert above > 0
 
     def test_first_step_floor_when_every_row_coincides(self, small_fit,
                                                        monkeypatch):
-        """With no old row apart from Z_r the single-add cap is the floor
-        ``_SINGLE_ADD_FIRST_STEP``, in the solve's units."""
+        """With no old row apart from Z_r the cap is the floor
+        ``_ADD_FIRST_STEP``, in the solve's units, for single and joint
+        adds."""
         _, fitted = small_fit
         for lambda_z in (0.1, 2.0):
             sol = dataclasses.replace(
                 fitted, Z=np.full_like(fitted.Z, 0.25),
                 hyperparams=Hyperparams(lambda_z=lambda_z))
-            seen, scale = self.first_steps(monkeypatch, sol, slice(0, 3),
-                                           True)
-            assert [cap for cap, _ in seen] \
-                == [solver._SINGLE_ADD_FIRST_STEP * scale] * 3
+            for one_by_one, solves in ((True, 3), (False, 1)):
+                seen, scale = self.first_steps(monkeypatch, sol, slice(0, 3),
+                                               one_by_one)
+                assert [cap for cap, _, _ in seen] \
+                    == [solver._ADD_FIRST_STEP * scale] * solves
+
+    @staticmethod
+    def batch_start_rows(sol, X_new, Y_new):
+        """The start rows of a joint add of (X_new, Y_new), by the rule
+        written out: per point i, the anchor a = argmin_k L_k(x_i); the
+        candidates, row a and then the other rows by decreasing weight
+        W_a (ties to the smaller index), up to the first that brings
+        their weight to half; the candidate of lowest copy score f_ki,
+        the earlier on ties.  Also returns the global argmin of f."""
+        L = local_loss_matrix(sol.B, X_new, Y_new, sol.task)
+        S, w, pen, _ = sol._start_base
+        rows, best = [], []
+        for i in range(X_new.shape[0]):
+            f = (S + w * L[:, i]) / (1.0 + w) + pen
+            a = int(np.argmin(L[:, i]))
+            W = objective.softmax_weights_row(sol.Z, a)
+            order = sorted(range(sol.n), key=lambda j: (j != a, -W[j], j))
+            cands, carried = [], 0.0
+            for j in order:
+                cands.append(j)
+                carried += W[j]
+                if carried >= 0.5:
+                    break
+            rows.append(min(cands, key=lambda j: (f[j], cands.index(j))))
+            best.append(int(np.argmin(f)))
+        return rows, best
+
+    @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)],
+                             ids=["regression", "3-class"])
+    def test_joint_rows_start_at_the_cheapest_copy_near_their_anchor(
+            self, task, monkeypatch):
+        """Each row of a joint add starts at (B_r, Z_r) of the cheapest
+        copy among the fewest old rows that carry half of its anchor
+        row's weight, the anchor being the old model that fits its point
+        best; on these points some rows' cheapest copy over all old rows
+        lies outside that neighbourhood."""
+        ds, _ = generate_rsynth(RsynthSpec(n=70, m=4, seed=3))
+        Y = ds.Y
+        if task.is_classification:
+            raw = np.random.default_rng(3).random((70, 3)) + 0.1
+            Y = raw / raw.sum(axis=1, keepdims=True)
+        sol = fit(ds.X[:50], Y[:50], Hyperparams(lambda_z=0.1), task,
+                  SolverConfig(seed=3, max_outer_iters=2))
+        X_new, Y_new = ds.X[50:], Y[50:]
+        seen, scale = self.first_steps(monkeypatch, sol, slice(None), False,
+                                       X_new, Y_new)
+        (_, x0, _), = seen
+        rows, best = self.batch_start_rows(sol, X_new, Y_new)
+        want = np.concatenate([sol.B[rows].ravel(),
+                               (sol.Z[rows] * scale).ravel()])
+        assert x0.tobytes() == want.tobytes()
+        assert rows != best
+
+    def test_joint_add_forms_no_n_by_n_weights(self, small_fit,
+                                               monkeypatch):
+        """A joint add, its start base included, calls neither
+        ``pairwise_distances`` nor ``softmax_weights`` (the escape rule's
+        n x n weights)."""
+        ds, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+
+        def n_by_n(*args, **kwargs):
+            raise AssertionError("a joint add formed n x n weights")
+
+        for name in ("pairwise_distances", "softmax_weights"):
+            monkeypatch.setattr(solver, name, n_by_n)
+        B_new, Z_new, losses = add_new(sol, ds.X[:5], ds.Y[:5],
+                                       SolverConfig(seed=11))
+        assert np.isfinite(losses).all() and Z_new.shape == (5, 2)
 
     @pytest.mark.parametrize("one_by_one", [False, True])
     def test_zero_rows_add_nothing(self, small_fit, monkeypatch, one_by_one):
@@ -949,6 +1090,26 @@ class TestAddNew:
         with pytest.raises(DataError, match=name):
             add_new(sol, new["X_new"], new["Y_new"], one_by_one=one_by_one)
         assert "_start_base" not in vars(sol)
+
+    @pytest.mark.parametrize("fault", ["text-X", "text-Y", "not-summing"])
+    def test_new_points_must_be_numbers_and_probabilities(self, fault, rng):
+        """Text in new points is a DataError naming the array, and so is a
+        classification response row that is not a probability vector."""
+        task = TaskKind.classification(3)
+        X, Y, B, Z, hp = random_instance(task, 8, 3, 2, rng)
+        sol = make_solution(X[:6], Y[:6], B[:6], Z[:6], hp, task)
+        new = {"X_new": X[6:].astype(object), "Y_new": Y[6:].astype(object)}
+        if fault == "not-summing":
+            new["Y_new"][1] *= 3.0
+            match = "responses in Y_new must sum to 1 per row; row 1"
+        else:
+            name = "X_new" if fault == "text-X" else "Y_new"
+            new[name][1, 0] = "a"
+            match = f"{name} has entries that are not numbers"
+        for one_by_one in (False, True):
+            with pytest.raises(DataError, match=match):
+                add_new(sol, new["X_new"], new["Y_new"],
+                        one_by_one=one_by_one)
 
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit

@@ -11,7 +11,11 @@ one by one.  The same 10 points are also added with 10 separate single-row
 calls on the one solution, and the script raises if their bytes differ from
 the ``one_by_one`` call, if a call's returned loss differs from
 ``row_contributions`` of its row, or if it is above the call's copy score
-f_r (the lowest loss of the new row as a copy of an old row).  It also
+f_r (``solver._copy_scores``, the lowest loss of the new row as a copy of
+an old row).  The batch digest follows the joint start rule (each row
+copies the cheapest old row among the half-weight neighbourhood of the
+old model that fits its point best) and the first-step bound every add
+shares; the one-by-one digest follows the single-add rule.  It also
 raises if a fitted solution's document, read back with
 ``Solution.from_json_dict``, does not give the same document.  Two commits
 whose lines are equal give bit-identical outputs on these inputs.  The
@@ -105,7 +109,6 @@ def digest_line(p) -> str:
             [a.tobytes() for a in single]:
         raise AssertionError("single-row add_new calls differ from the "
                              "one_by_one call")
-    S, w, pen, _ = sol._start_base
     for i, (B_i, Z_i, loss) in enumerate(calls):
         x, y = p.X_new[i:i + 1], p.Y_new[i:i + 1]
         contrib = solver.row_contributions(
@@ -115,7 +118,7 @@ def digest_line(p) -> str:
             raise AssertionError("a single add's loss differs from "
                                  "row_contributions of its row")
         L = local_loss_matrix(sol.B, x, y, sol.task)[:, 0]
-        if loss[0] > ((S + w * L) / (1.0 + w) + pen).min():
+        if loss[0] > solver._copy_scores(sol._start_base, L).min():
             raise AssertionError("a single add ends above its copy score")
     return " ".join([
         "state", digest(sol.B, sol.Z, sol.final_loss),
