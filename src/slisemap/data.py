@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_fields, check_number
+from .errors import DataError, ShapeError, check_array, check_fields, \
+    check_number
 from .model import BINARY_LOGIT, CLASSIFICATION, REGRESSION, TaskKind, \
     logit_transform
 
@@ -79,9 +80,11 @@ class Dataset:
 
 def normalize(X_raw: np.ndarray):
     """Standardize columns to zero mean / unit variance and append an
-    intercept column of ones.  Returns ``(X, Normalization)``."""
-    X_raw = np.asarray(X_raw, dtype=float)
-    if X_raw.ndim != 2 or X_raw.shape[0] < 1:
+    intercept column of ones.  Returns ``(X, Normalization)``.  ``X_raw``
+    must be a finite nonempty matrix (:func:`errors.check_array`): an
+    infinite entry leaves its column NaN."""
+    X_raw = check_array("X_raw", X_raw, ndim=2, finite=True)
+    if X_raw.shape[0] < 1:
         raise ShapeError("covariates must form a nonempty 2-D matrix",
                          got=X_raw.shape)
     mean = X_raw.mean(axis=0)
@@ -98,11 +101,13 @@ def normalize(X_raw: np.ndarray):
 
 def apply_normalization(x_raw: np.ndarray, normalization: Normalization) -> np.ndarray:
     """Map raw covariates (one vector or a matrix of rows) into the
-    training basis: center, scale, append the intercept entry."""
-    x = np.asarray(x_raw, dtype=float)
+    training basis: center, scale, append the intercept entry.  More than
+    two axes, or a row length other than the normalization's, is a
+    ShapeError."""
+    x = check_array("x_raw", x_raw)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    if x.shape[1] != normalization.mean.shape[0]:
+    if x.ndim > 2 or x.shape[1] != normalization.mean.shape[0]:
         raise ShapeError("covariate length does not match the stored "
                          "normalization", expected=normalization.mean.shape[0],
                          got=x.shape[1])
@@ -356,10 +361,12 @@ def subsample(ds: Dataset, n0: int, seed: int) -> Dataset:
     Row order is preserved (indices are sorted) and the normalization is
     recomputed on the retained rows.  ``n0 >= n`` returns an equivalent
     dataset unchanged in content.  ``n0`` must pass
-    :func:`errors.check_number` as an integer >= 1, or it is a DataError.
+    :func:`errors.check_number` as an integer >= 1 and ``seed`` as one
+    >= 0, or it is a DataError.
     """
     n0 = check_number("subsample size", n0, low=1, integer=True,
                       error=DataError)
+    seed = check_number("seed", seed, low=0, integer=True, error=DataError)
     if n0 >= ds.n:
         return ds
     rng = np.random.default_rng(seed)

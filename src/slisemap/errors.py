@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its one rule for a
-numeric setting (:func:`check_number`, applied to the fields of a frozen
-dataclass by :func:`check_fields`).
+"""Exception types shared across the package, its one rule for a numeric
+setting (:func:`check_number`, applied to the fields of a frozen dataclass
+by :func:`check_fields`) and its one rule for an input array
+(:func:`check_array`).
 
 The CLI maps these onto exit codes (usage errors are handled by argparse
 itself): :class:`NumericError` -> 4, and every other
@@ -9,6 +10,8 @@ itself): :class:`NumericError` -> 4, and every other
 
 import math
 import numbers
+
+import numpy as np
 
 
 class SlisemapError(Exception):
@@ -70,3 +73,27 @@ def check_fields(obj, error=ValueError, **rules):
     for name, rule in rules.items():
         object.__setattr__(obj, name, check_number(
             name, getattr(obj, name), error=error, **rule))
+
+
+def check_array(name, value, *, ndim=None, finite=False):
+    """``value`` as a float64 array (``np.asarray``, so no copy of one),
+    when its entries are numbers, it has ``ndim`` axes if given, and, with
+    ``finite``, every entry is finite.  Otherwise a DataError or, for the
+    axes, a ShapeError is raised, naming ``name``: ``X has entries that
+    are not numbers``, ``X_new has non-finite entries``.
+
+    Every array a caller hands to the public functions of ``objective``,
+    ``solver``, ``metrics``, ``data`` and ``model`` passes through it.
+    ``fit``, ``add_new``, a Solution, ``fit_global_model``, ``pca_scores``
+    and ``normalize`` ask for ``finite``; the rest let NaN and infinity
+    through to their own rules."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} has entries that are not numbers") from None
+    if ndim is not None and a.ndim != ndim:
+        raise ShapeError(f"{name} has the wrong number of axes",
+                         expected=ndim, got=a.ndim)
+    if finite and not np.isfinite(a).all():
+        raise DataError(f"{name} has non-finite entries")
+    return a

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lbfgs, objective
 from .data import write_csv, write_json
-from .errors import ShapeError, SlisemapError, check_number
+from .errors import ShapeError, SlisemapError, check_array, check_number
 from .model import TaskKind
 from .objective import local_loss_matrix, pairwise_distances, \
     uniform_loss_and_grad
@@ -70,9 +70,11 @@ def fit_global_model(X, Y, task: TaskKind, *, lambda_lasso: float = 1e-4,
 
     Minimizes the summed pointwise loss plus the lasso penalty with the
     same quasi-Newton core as the main fit.  Warns on rank-deficient
-    covariates (the penalty keeps the problem determined).
+    covariates (the penalty keeps the problem determined).  X must be
+    finite (:func:`errors.check_array`): LAPACK's rank computation fails
+    on NaN and reports an illegal argument on stderr for infinity.
     """
-    X = np.asarray(X, dtype=float)
+    X = check_array("X", X, ndim=2, finite=True)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         warnings.warn("covariate matrix is rank deficient; the penalized "
                       "solution is returned")
@@ -91,7 +93,7 @@ def loss_threshold(global_losses, q: float = 0.3) -> float:
     the closest order statistics; ``q`` must pass
     :func:`errors.check_number` as a number in [0, 1] (a SlisemapError
     otherwise)."""
-    losses = np.asarray(global_losses, dtype=float)
+    losses = check_array("global_losses", global_losses)
     if losses.size == 0:
         raise SlisemapError("loss_threshold needs a nonempty loss vector")
     q = check_number("quantile", q, low=0, high=1, error=SlisemapError)
@@ -114,7 +116,7 @@ def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     columns of a stable argsort of each distance row would.  The first j
     columns of the result are the j nearest neighbours.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = check_array("Z", Z, ndim=2)
     k = check_k(k, Z.shape[0])
     D = pairwise_distances(Z)
     np.fill_diagonal(D, np.inf)
@@ -134,10 +136,10 @@ def _neighbour_mean(A: np.ndarray, nn: np.ndarray) -> float:
 
 
 def _checked_labels(labels, Z: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape[0] != Z.shape[0]:
+    labels = check_array("labels", labels, ndim=1)
+    if len(labels) != Z.shape[0]:
         raise ShapeError("labels length does not match the embedding",
-                         expected=Z.shape[0], got=labels.shape[0])
+                         expected=Z.shape[0], got=len(labels))
     return labels
 
 
@@ -148,7 +150,7 @@ def _purity(labels: np.ndarray, nn: np.ndarray) -> float:
 def cluster_purity(Z: np.ndarray, labels, k: int) -> float:
     """Average fraction of each item's embedding neighbours sharing its
     ground-truth label."""
-    Z = np.asarray(Z, dtype=float)
+    Z = check_array("Z", Z, ndim=2)
     labels = _checked_labels(labels, Z)
     return _purity(labels, knn_indices(Z, k))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_fields
+from .errors import DataError, check_array, check_fields
 
 # Probabilities are clamped to [LOGIT_EPS, 1 - LOGIT_EPS] before the logit
 # transform; black boxes routinely emit exact 0/1 and the transform must
@@ -100,7 +100,7 @@ def logit_transform(y1):
     Inputs outside [0, 1] are rejected; exact 0/1 are clamped to
     ``LOGIT_EPS`` / ``1 - LOGIT_EPS`` so downstream regression stays finite.
     """
-    y = np.asarray(y1, dtype=float)
+    y = check_array("logit_transform input", y1)
     if (y < 0).any() or (y > 1).any():
         bad = float(y[(y < 0) | (y > 1)].flat[0])
         raise DataError(f"logit_transform input {bad!r} outside [0, 1]")

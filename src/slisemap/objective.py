@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError, check_fields
+from .errors import NumericError, ShapeError, check_array, check_fields
 from .model import TaskKind
 
 # Smoothing inside the distance derivative only; keeps the gradient finite
@@ -178,12 +178,14 @@ def _distances(work: Workspace, Z_old, Z, scratch) -> np.ndarray:
     return D
 
 
+@_QUIET
 def pairwise_distances(Z: np.ndarray) -> np.ndarray:
     """Euclidean distances between all pairs of rows of ``Z``.
 
-    Symmetric with an exactly zero diagonal.
+    Symmetric with an exactly zero diagonal.  A row with a non-finite
+    entry has NaN distances.
     """
-    Z = np.ascontiguousarray(Z, dtype=float)
+    Z = np.ascontiguousarray(check_array("Z", Z, ndim=2))
     n = Z.shape[0]
     return _distances(Workspace(), Z[:0], Z, np.empty((n, n)))
 
@@ -202,7 +204,8 @@ def softmax_weights(D: np.ndarray) -> np.ndarray:
     ``D`` must be a distance matrix: non-negative, with a zero diagonal.
     Each row's largest exponent is then 0, so no shift is needed.
     """
-    return _softmax_into(np.empty(np.shape(D)), np.asarray(D, dtype=float))
+    D = check_array("D", D, ndim=2)
+    return _softmax_into(np.empty(D.shape), D)
 
 
 @_QUIET
@@ -214,34 +217,25 @@ def softmax_weights_row(Z: np.ndarray, r: int) -> np.ndarray:
     differently from the all-rows one, which moves D_rj, and so the
     weight's share, by about eps |Z_r| |Z_j| / D_rj.
     """
-    Z = np.ascontiguousarray(Z, dtype=float)
+    Z = np.ascontiguousarray(check_array("Z", Z, ndim=2))
     n = Z.shape[0]
     D = _distances(Workspace(), Z, Z[r:r + 1], np.empty((1, n + 1)))[:, :n]
     D[0, r] = 0.0  # the Gram route leaves a rounding error here
     return _softmax_into(np.empty((1, n)), D)[0]
 
 
-def _floats(name: str, a) -> np.ndarray:
-    """``a`` as a float64 array, or a DataError naming it when its entries
-    are not numbers."""
-    try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        raise DataError(f"{name} has entries that are not numbers") from None
-
-
 def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
-    """``(X, Y, B, Z, Z_old)`` as float64 arrays, a 1-D response as one
-    column and Z C-contiguous, or a ShapeError on any disagreement.  X or
-    Y with entries that are not numbers is a DataError naming it, and X
-    must have at least one column.
+    """``(X, Y, B, Z, Z_old)`` as float64 arrays, each through
+    :func:`errors.check_array` without a finiteness scan, a 1-D response
+    as one column and Z C-contiguous, or a ShapeError on any disagreement.
+    X must have at least one column.
 
     Without ``B`` only (X, Y) are checked.  Without ``Z``, B may have any
     number of rows.  With it, the items of (X, Y) are the n_old frozen
     embedding rows ``Z_old`` (none by default) followed by the k rows of
     (B, Z), and ``d``, if given, is Z's width.
     """
-    X, Y = _floats("X", X), _floats("Y", Y)
+    X, Y = check_array("X", X), check_array("Y", Y)
     if Y.ndim == 1:
         Y = Y[:, None]
     if X.ndim != 2 or X.shape[1] == 0:
@@ -253,19 +247,19 @@ def _as_problem(task: TaskKind, X, Y, B=None, Z=None, d=None, Z_old=None):
                          expected=(n, task.response_dim()), got=Y.shape)
     if B is None:
         return X, Y, None, None, None
-    B = np.asarray(B, dtype=float)
+    B = check_array("B", B)
     if B.ndim != 2 or B.shape[1] != q:
         raise ShapeError("coefficient matrix width does not match task",
                          expected=q, got=B.shape)
     if Z is None:
         return X, Y, B, None, None
-    Z = np.ascontiguousarray(Z, dtype=float)
+    Z = np.ascontiguousarray(check_array("Z", Z))
     if d is None and Z.ndim == 2:
         d = Z.shape[1]
     if Z.shape != (B.shape[0], d):
         raise ShapeError("embedding does not match the model rows and "
                          "width", expected=(B.shape[0], d), got=Z.shape)
-    Z_old = Z[:0] if Z_old is None else np.asarray(Z_old, dtype=float)
+    Z_old = Z[:0] if Z_old is None else check_array("Z_old", Z_old)
     if Z_old.ndim != 2 or Z_old.shape[1] != d:
         raise ShapeError("frozen embedding width does not match", expected=d,
                          got=Z_old.shape)

@@ -21,10 +21,10 @@ import numpy as np
 from . import lbfgs
 from .data import Normalization, check_class_probabilities, write_json
 from .errors import (DataError, NumericError, ShapeError, SlisemapError,
-                     check_fields, check_number)
+                     check_array, check_fields, check_number)
 from .model import TaskKind
 from .objective import (_DIST_GRAD_EPS, _QUIET, Hyperparams, Workspace,
-                        _as_problem, _floats, _forward,
+                        _as_problem, _forward,
                         added_loss_and_gradients,
                         local_loss_matrix, loss_and_gradients,
                         pairwise_distances, row_contributions,
@@ -90,14 +90,6 @@ class SolverConfig:
                      rel_tol={"low": 0, "strict": True})
 
 
-def _check_finite(**arrays):
-    """Raise a DataError naming the first of ``arrays`` that has a
-    non-finite entry."""
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise DataError(f"{name} has non-finite entries")
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only float64 copy of ``a``, in its memory layout, with
     numpy's own float64 dtype, so that ``np.asarray(copy, dtype=float)``
@@ -116,18 +108,20 @@ def _check_names(**names):
             raise DataError(f"{key!r} is not a list of strings")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Solution:
     """A fitted model: data, local models, embedding and the fit's record.
 
     ``X`` is the normalized, intercept-augmented covariate matrix the fit
     ran on; ``Y`` is the response matrix on the training scale (logit scale
     for the binary-logit task).  ``normalization`` maps raw features into
-    X's basis (``data.apply_normalization``).  Construction checks every
-    length and shape against (X, Y), raising a ShapeError.  It raises a
-    DataError for non-finite entries, classification responses whose rows
-    are not probability vectors (:func:`data.check_class_probabilities`),
-    a normalization std at or below 0, a
+    X's basis (``data.apply_normalization``).  Construction passes X, Y,
+    B, Z and the normalization's mean and std through
+    :func:`errors.check_array` with ``finite`` (README, the array rule) and
+    checks every length and shape against (X, Y), raising a ShapeError.
+    It raises a DataError for classification responses whose rows are not
+    probability vectors (:func:`data.check_class_probabilities`), a
+    normalization std at or below 0, a
     ``loss_history`` that is empty or increases, ``column_names`` or
     ``target_names`` that are not lists (or tuples) of strings, and a
     ``seed`` that fails :func:`errors.check_number` as an integer >= 0.
@@ -135,12 +129,13 @@ class Solution:
     floats and the names as tuples, so every Solution that can be built
     saves a file that loads.
 
-    A Solution is read-only after construction: it holds read-only copies
-    of X, Y, B, Z and the normalization's mean and std, and tuples of its
-    names and history, so neither a later write into what it was built
-    from nor an in-place edit of its own can change it or what it saves,
-    and its record and the start base of adds (4n floats, computed on the
-    first one and kept) describe those arrays.  Make a changed solution
+    A Solution is read-only after construction: its fields refuse
+    assignment (``dataclasses.FrozenInstanceError``), and it holds
+    read-only copies of X, Y, B, Z and the normalization's mean and std,
+    and tuples of its names and history, so neither a later write into
+    what it was built from nor an edit of its own can change it or what it
+    saves, and its record and the start base of adds (4n floats, computed
+    on the first one and kept) describe those arrays.  Make a changed solution
     with ``dataclasses.replace``, which starts without that base.  Pickling
     (and ``copy``) rebuilds a Solution through its constructor, so the
     copy is checked and read-only too, and starts without the base.
@@ -163,37 +158,39 @@ class Solution:
     stop_reason: str = ""  # one of STOP_REASONS; "" when not recorded
 
     def __post_init__(self):
-        self.seed = check_number("seed", self.seed, low=0, integer=True,
-                                 error=DataError)
+        seed = check_number("seed", self.seed, low=0, integer=True,
+                            error=DataError)
         _check_names(column_names=self.column_names,
                      target_names=self.target_names)
-        self.column_names = tuple(self.column_names)
-        self.target_names = tuple(self.target_names)
-        self.loss_history = h = tuple(float(v) for v in self.loss_history)
+        h = tuple(float(v) for v in self.loss_history)
         if not (len(h) and np.isfinite(h).all() and np.all(np.diff(h) <= 0)):
             raise DataError("loss_history is empty, non-finite or "
                             "increasing")
         if self.stop_reason not in ("", *STOP_REASONS):
             raise DataError(f"stop_reason {self.stop_reason!r} is not one "
                             f"of {', '.join(STOP_REASONS)}")
-        self.X, self.Y, self.B, self.Z = map(_read_only, _as_problem(
-            self.task, self.X, self.Y, self.B, self.Z,
+        X, Y, B, Z = map(_read_only, _as_problem(self.task, *(
+            check_array(k, getattr(self, k), finite=True) for k in "XYBZ"),
             self.hyperparams.d)[:4])
-        m, norm = self.X.shape[1] - 1, self.normalization
-        want = (m, self.Y.shape[1], (m,), (m,))
-        got = (len(self.column_names), len(self.target_names),
-               np.shape(norm.mean), np.shape(norm.std))
+        mean, std = (_read_only(check_array("normalization", a, finite=True))
+                     for a in (self.normalization.mean,
+                               self.normalization.std))
+        m = X.shape[1] - 1
+        want = (m, Y.shape[1], (m,), (m,))
+        got = (len(self.column_names), len(self.target_names), mean.shape,
+               std.shape)
         if got != want:
             raise ShapeError("column_names, target_names or normalization "
                              "length does not match", expected=want, got=got)
-        _check_finite(X=self.X, Y=self.Y, B=self.B, Z=self.Z,
-                      normalization=(norm.mean, norm.std))
         if self.task.is_classification:
-            check_class_probabilities(self.Y, "Y")
-        if not (norm.std > 0.0).all():
+            check_class_probabilities(Y, "Y")
+        if not (std > 0.0).all():
             raise DataError("normalization std has entries <= 0")
-        self.normalization = Normalization(mean=_read_only(norm.mean),
-                                           std=_read_only(norm.std))
+        # frozen: the checked fields are stored past __setattr__
+        vars(self).update(X=X, Y=Y, B=B, Z=Z, loss_history=h, seed=seed,
+                          normalization=Normalization(mean, std),
+                          column_names=tuple(self.column_names),
+                          target_names=tuple(self.target_names))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -289,8 +286,8 @@ class Solution:
                               else doc["loss_history"]),
                 seed=doc["seed"], column_names=doc["column_names"],
                 normalization=Normalization(
-                    mean=np.asarray(doc["normalization"]["mean"], dtype=float),
-                    std=np.asarray(doc["normalization"]["std"], dtype=float)),
+                    mean=doc["normalization"]["mean"],
+                    std=doc["normalization"]["std"]),
                 target_names=doc.get("target_names", ["y"]),
                 stop_reason=doc.get("stop_reason", "numeric" if doc.get(
                     "numeric_warning") else ""),
@@ -332,8 +329,10 @@ def pca_scores(X: np.ndarray, d: int) -> np.ndarray:
     largest-magnitude loading of each component is positive, which makes
     the result reproducible across runs.  When the centered matrix has
     rank below ``d`` the trailing columns are zero-filled with a warning.
+    ``X`` must be finite, as LAPACK's SVD fails on NaN
+    (:func:`errors.check_array`).
     """
-    X = np.asarray(X, dtype=float)
+    X = check_array("X", X, ndim=2, finite=True)
     Xc = X - X.mean(axis=0, keepdims=True)
     U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     flip = np.sign(Vt[np.arange(Vt.shape[0]), np.abs(Vt).argmax(axis=1)])
@@ -353,7 +352,7 @@ def pca_scores(X: np.ndarray, d: int) -> np.ndarray:
 
 def init(X, Y, hp: Hyperparams, task: TaskKind, seed: int):
     """Starting point: PCA scores for Z, seeded standard normals for B."""
-    X = np.asarray(X, dtype=float)
+    X = check_array("X", X, ndim=2)
     n, n_cols = X.shape
     rng = np.random.default_rng(seed)
     B0 = rng.standard_normal((n, task.coef_len(n_cols)))
@@ -407,6 +406,7 @@ def lbfgs_minimize(fun_and_grad, B0, Z0, hp: Hyperparams,
     return B.copy(), unscaled(V).copy(), res.fun
 
 
+@_QUIET
 def escape(X, Y, B, Z, task: TaskKind):
     """Move every item to the row whose soft neighbourhood fits it best.
 
@@ -418,7 +418,8 @@ def escape(X, Y, B, Z, task: TaskKind):
     """
     X, Y, B, Z, _ = _as_problem(task, X, Y, B, Z)
     W = softmax_weights(pairwise_distances(Z))
-    ks = np.argmin(W @ local_loss_matrix(B, X, Y, task), axis=0)
+    L = local_loss_matrix(B, X, Y, task)
+    ks = np.argmin(W @ L, axis=0) if len(Z) else []  # no rows: nothing moves
     return B[ks].copy(), Z[ks].copy()
 
 
@@ -442,16 +443,16 @@ def fit(X, Y, hp: Hyperparams, task: TaskKind,
     best loss is in the band ends there ("band").  Such a round ends at or
     above the best loss, so it is never adopted, and it counts as a
     plateau round just as solving it out would; a round below or above
-    the band runs on to ``rel_tol``.  Non-finite
-    entries of X or Y are a DataError naming the array.
+    the band runs on to ``rel_tol``.  X and Y pass
+    :func:`errors.check_array` with ``finite`` (README, the array rule).
 
     ``column_names`` and ``normalization`` (a ``data.Normalization``) are
     carried into the Solution for serialization; identity defaults are used
     when fitting plain matrices.  Names that are not strings are a
     DataError, raised before the first solve.
     """
-    X, Y, _, _, _ = _as_problem(task, X, Y)
-    _check_finite(X=X, Y=Y)
+    X, Y, _, _, _ = _as_problem(task, check_array("X", X, finite=True),
+                                check_array("Y", Y, finite=True))
     if task.is_classification:
         check_class_probabilities(Y, "Y")
     n, n_cols = X.shape
@@ -618,10 +619,11 @@ def add_new(sol: Solution, X_new, Y_new,
     i's loss contribution to the incremented problem.  The new rows are
     optimized against the frozen solution, which is never mutated; each
     starts at the embedding of an old row.  ``one_by_one`` stacks the
-    results of one single-row ``add_new`` call per point.  Non-finite or
-    text entries of X_new or Y_new, and classification rows of Y_new that
-    are not probability vectors, are a DataError naming the array, raised
-    before any start or solve.
+    results of one single-row ``add_new`` call per point.  A 1-D X_new is
+    one point, and Y_new (a scalar or a vector) its response row.  X_new
+    and Y_new pass :func:`errors.check_array` with ``finite`` (README, the
+    array rule), and classification rows of Y_new that are not probability
+    vectors are a DataError naming it, before any start or solve.
 
     Each new row i starts as a copy (B_r, Z_r) of an old row r, scored by
     its copy score f_ki (:func:`_copy_scores`), the row's loss as a copy of
@@ -671,10 +673,11 @@ def add_new(sol: Solution, X_new, Y_new,
     base), but never below ten smoothing widths, in
     :func:`lbfgs_minimize`'s scaled units.
     """
-    X_new, Y_new, _, _, _ = _as_problem(
-        sol.task, _floats("X_new", np.atleast_2d(X_new)),
-        _floats("Y_new", Y_new), sol.B)
-    _check_finite(X_new=X_new, Y_new=Y_new)
+    X_new = check_array("X_new", X_new, finite=True)
+    Y_new = check_array("Y_new", Y_new, finite=True)
+    if X_new.ndim == 1:  # one point: its response is one row
+        X_new, Y_new = X_new[None], Y_new.reshape(1, -1)
+    X_new, Y_new, _, _, _ = _as_problem(sol.task, X_new, Y_new, sol.B)
     if sol.task.is_classification:
         check_class_probabilities(Y_new, "Y_new")
     k = X_new.shape[0]

@@ -230,6 +230,25 @@ def test_criterion_9_out_of_sample_soundness(small_runs):
         f"ratio {ratio:.2f} <= 2.0")
 
 
+def test_criterion_9_readd_every_training_row(small_runs):
+    """Criterion 9's re-add bound on every training row of its fit, not
+    only rows 0-49.  A start rule can lose the bound on a few rows past
+    the first 50 (giving single adds the joint neighbourhood rule did on
+    12 of them), which only a re-add of every row shows."""
+    runs, _ = small_runs
+    sol = runs[0]["sol"]
+    contrib = row_contributions(sol.X, sol.Y, sol.B, sol.Z, sol.hyperparams,
+                                REG)
+    _, _, readd = add_new(sol, sol.X, sol.Y, SolverConfig(seed=1),
+                          one_by_one=True)
+    excess = readd - contrib
+    ok = float(excess.max()) <= 1e-4
+    assert report(
+        9, ok,
+        f"re-add of all {sol.n} rows: {int((excess > 1e-4).sum())} over "
+        f"1e-4, worst excess {float(excess.max()):.2e}")
+
+
 def test_criterion_9_readd_at_n400():
     """Criterion 9's re-add bound on a larger fit with one escape round,
     where the fitted neighbourhoods fit some items worse than their own

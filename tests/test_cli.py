@@ -1107,12 +1107,14 @@ class TestEvalOverheadTool:
         proc = subprocess.run([sys.executable, str(tool), "--repeats", "1"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        rows = [line.rsplit(None, 1) for line in proc.stdout.splitlines()[1:]]
-        assert [name for name, _ in rows] == [
+        rows = [line.rsplit(None, 3) for line in proc.stdout.splitlines()[1:]]
+        assert [name for name, *_ in rows] == [
             "reg200 full k=200", "reg200 added k=1", "reg200 added k=10",
             "clf200 full k=150", "clf200 added k=1", "clf200 added k=10",
             "two_loop fit (200 rows)", "two_loop single add (1 row)"]
-        assert all(float(us) > 0 for _, us in rows)
+        for _, low, median, spread in rows:
+            assert 0 < float(low) <= float(median)
+            assert float(spread) >= 0
 
 
 class TestCodeLinesTool:

@@ -526,6 +526,27 @@ class TestFit:
         for out, ref in zip(got, want):
             assert [a.tobytes() for a in out] == [a.tobytes() for a in ref]
 
+    def test_fields_refuse_assignment(self, small_fit):
+        """A Solution's fields cannot be assigned after construction: an
+        assigned Z was writeable and unchecked and left the kept start
+        base stale, and an assigned history saved a file that does not
+        load.  ``dataclasses.replace``, pickling and the kept start base
+        still work."""
+        ds, fitted = small_fit
+        sol = Solution.from_json_dict(fitted.to_json_dict())
+        config = SolverConfig(seed=11)
+        x, y = ds.X[3:4], ds.Y[3:4]
+        want = [a.tobytes() for a in add_new(sol, x, y, config)]
+        for name, value in (("Z", 3.0 * sol.Z), ("loss_history", [5.0, 6.0])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, name, value)
+        assert sol.to_json_dict() == fitted.to_json_dict()
+        assert "_start_base" in vars(sol)
+        assert [a.tobytes() for a in add_new(sol, x, y, config)] == want
+        for copy in (pickle.loads(pickle.dumps(sol)),
+                     dataclasses.replace(sol, seed=3)):
+            assert [a.tobytes() for a in add_new(copy, x, y, config)] == want
+
     def test_names_history_and_normalization_refuse_edits(self, small_fit,
                                                           tmp_path):
         """A solution keeps tuples of its names and history and read-only
@@ -1110,6 +1131,18 @@ class TestAddNew:
             with pytest.raises(DataError, match=match):
                 add_new(sol, new["X_new"], new["Y_new"],
                         one_by_one=one_by_one)
+
+    @pytest.mark.parametrize("task", [REG, TaskKind.classification(3)],
+                             ids=["regression", "3-class"])
+    def test_one_point_as_vectors_is_one_row(self, task, rng):
+        """A 1-D x is one point, and its response, a vector (or, for
+        regression, a scalar), is that point's row: the add gives the
+        bytes of the same point given as (1, q) and (1, p) rows."""
+        X, Y, B, Z, hp = random_instance(task, 9, 3, 2, rng)
+        sol = make_solution(X[:8], Y[:8], B[:8], Z[:8], hp, task)
+        want = [a.tobytes() for a in add_new(sol, X[8:], Y[8:])]
+        for y in [Y[8]] + ([] if task.is_classification else [Y[8, 0]]):
+            assert [a.tobytes() for a in add_new(sol, X[8], y)] == want
 
     def test_shape_mismatch_rejected(self, small_fit):
         _, sol = small_fit

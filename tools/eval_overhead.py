@@ -1,5 +1,6 @@
 """Print the fixed cost of small solves: microseconds per objective
-evaluation and per L-BFGS direction, each the minimum over repeats.
+evaluation and per L-BFGS direction, as the minimum, median and
+interquartile range over repeats.
 
 One line per case, at the sizes of the benchmark workloads ``reg200-seeds``
 (regression, n = 200, m = 10) and ``clf200`` (3 classes, n = 150, m = 10):
@@ -13,8 +14,11 @@ One line per case, at the sizes of the benchmark workloads ``reg200-seeds``
 Every evaluation of a case goes to one ``Workspace`` with the same (X, Y,
 Z_old) arrays, as within one solve, and takes the next of ``STARTS``
 perturbed (B, Z).  A case is timed as N batches (``--repeats``, default 30)
-of ``CALLS`` calls; the line gives the fastest batch's time per call, since
-a shared host slows some batches by up to 1.5x and never speeds one up.
+of ``CALLS`` calls.  The line gives the fastest batch's time per call,
+since a shared host slows some batches by up to 1.5x and never speeds one
+up, then the median and the interquartile range of the batches' times per
+call, which show how far the host moved them: a difference between two
+runs smaller than their ranges is noise.
 
     python3 tools/eval_overhead.py [--repeats N]
 
@@ -48,16 +52,18 @@ CALLS = 200  # calls per timed batch
 STARTS = 8  # distinct (B, Z) the calls of a case cycle through
 
 
-def min_us(call, repeats: int) -> float:
-    """Fastest of ``repeats`` batches of CALLS calls, in us per call."""
+def batch_us(call, repeats: int) -> tuple[float, float, float]:
+    """(minimum, median, interquartile range) over ``repeats`` batches of
+    CALLS calls of the time per call, in us."""
     call()  # warm-up: buffers, caches
-    best = float("inf")
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(CALLS):
             call()
-        best = min(best, time.perf_counter() - t0)
-    return 1e6 * best / CALLS
+        times.append(1e6 * (time.perf_counter() - t0) / CALLS)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return min(times), float(median), float(q3 - q1)
 
 
 def problem(classification: bool, n: int):
@@ -91,7 +97,7 @@ def evaluation_cases(name: str, classification: bool, n: int, repeats: int):
     def full_call():
         objective.loss_and_gradients(X, Y, *next(full), hp, task, work=work)
 
-    yield f"{name} full k={n}", min_us(full_call, repeats)
+    yield f"{name} full k={n}", batch_us(full_call, repeats)
     for k in (1, 10):
         # k new items (copies of the first k rows' items) after all n rows
         Xc, Yc = np.vstack([X, X[:k]]), np.vstack([Y, Y[:k]])
@@ -101,7 +107,7 @@ def evaluation_cases(name: str, classification: bool, n: int, repeats: int):
             objective.added_loss_and_gradients(Xc, Yc, Z, *next(added), hp,
                                                task, work=work_k)
 
-        yield f"{name} added k={k}", min_us(added_call, repeats)
+        yield f"{name} added k={k}", batch_us(added_call, repeats)
 
 
 def two_loop_cases(repeats: int):
@@ -114,7 +120,7 @@ def two_loop_cases(repeats: int):
             y += 2.0 * s  # positive curvature
             pairs.append((s, y, 1.0 / float(s @ y)))
         g = rng.standard_normal(size)
-        yield f"two_loop {label}", min_us(
+        yield f"two_loop {label}", batch_us(
             lambda: lbfgs._two_loop(g, pairs, 0.5), repeats)
 
 
@@ -125,14 +131,13 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
-    print(f"min over {args.repeats} batches of {CALLS} calls, us per call")
-    for name, classification, n in (("reg200", False, 200),
-                                    ("clf200", True, 150)):
-        for label, us in evaluation_cases(name, classification, n,
-                                          args.repeats):
-            print(f"{label:28s} {us:9.1f}", flush=True)
-    for label, us in two_loop_cases(args.repeats):
-        print(f"{label:28s} {us:9.1f}", flush=True)
+    print(f"us per call over {args.repeats} batches of {CALLS} calls: "
+          "min, median, interquartile range")
+    cases = [evaluation_cases(name, classification, n, args.repeats)
+             for name, classification, n in (("reg200", False, 200),
+                                             ("clf200", True, 150))]
+    for label, us in itertools.chain(*cases, two_loop_cases(args.repeats)):
+        print(f"{label:28s}" + "".join(f" {v:9.1f}" for v in us), flush=True)
 
 
 if __name__ == "__main__":
